@@ -16,8 +16,6 @@ from .bsta import (
     BstaResult,
     bsta_solve,
     hosvd_init,
-    matrix_bsta,
-    matrix_bsta_fixed_factor,
     projected_operator,
     random_triple,
     relaxation_sweep,
@@ -26,7 +24,6 @@ from .bsta import (
 from .flrta import (
     IndexSelection,
     SelectionError,
-    TuckerFactorization,
     fit_core_cross,
     fit_core_full,
     flrta_approx,
@@ -45,6 +42,7 @@ from .subspace import (
 )
 from .tensor_core import (
     DenseTensor3,
+    TuckerFactorization,
     fold,
     hs_inner,
     hs_norm,
@@ -75,8 +73,6 @@ __all__ = [
     "hosvd_init",
     "hs_inner",
     "hs_norm",
-    "matrix_bsta",
-    "matrix_bsta_fixed_factor",
     "mode_multiply",
     "mode_rank",
     "multilinear_rank",

@@ -19,13 +19,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .subspace import Subspace, SubspaceTriple, coefficient_tensor, project
+from .subspace import (
+    Subspace,
+    SubspaceTriple,
+    _check_triple,
+    coefficient_tensor,
+    project,
+)
 from .tensor_core import (
     DenseTensor3,
+    TuckerFactorization,
     _check_mode,
-    as_matrix,
+    _check_ranks,
     hs_norm,
-    numerical_rank,
     unfold,
 )
 
@@ -95,10 +101,14 @@ class BstaResult:
     subspace, so ``approx_error**2 + objective_history[-1]`` equals the
     squared norm of the input.  ``converged`` means the sweep loop
     stagnated *and* the critical-point certificate passed.
+
+    ``tucker`` holds the coefficient tensor as its core and the frames,
+    transposed to ``(k, m)``, as its factors, so ``tucker.reconstruct()``
+    is the projection of the input onto the product subspace.
     """
 
     subspaces: SubspaceTriple
-    core: DenseTensor3
+    tucker: TuckerFactorization
     objective_history: list[float] = field(repr=False)
     approx_error: float
     sweeps: int
@@ -197,9 +207,7 @@ def random_triple(
     """Seeded random subspace triple (orthonormalized Gaussian frames)."""
     rng = np.random.default_rng(seed)
     frames = []
-    for m, k in zip(dims, ranks):
-        if not 1 <= k <= m:
-            raise ValueError(f"rank {k} out of range for dimension {m}")
+    for m, k in zip(dims, _check_ranks(dims, ranks)):
         q, _ = np.linalg.qr(rng.standard_normal((m, k)))
         frames.append(Subspace(q))
     return SubspaceTriple(*frames)
@@ -215,16 +223,6 @@ def hosvd_init(t: DenseTensor3, ranks: tuple[int, int, int]) -> SubspaceTriple:
     return SubspaceTriple(*frames)
 
 
-def _check_ranks(dims: tuple[int, int, int], ranks) -> tuple[int, int, int]:
-    ranks = tuple(int(k) for k in ranks)
-    if len(ranks) != 3:
-        raise ValueError(f"expected three target ranks, got {ranks}")
-    for k, m in zip(ranks, dims):
-        if not 1 <= k <= m:
-            raise ValueError(f"target ranks {ranks} out of range for dims {dims}")
-    return ranks
-
-
 def relaxation_sweep(
     t: DenseTensor3, s: SubspaceTriple
 ) -> tuple[SubspaceTriple, tuple[float, float, float]]:
@@ -236,25 +234,14 @@ def relaxation_sweep(
     projection norm after each of the three updates; the sequence extends
     the objective history monotonically.
     """
-    if s.ambient_dims != t.dims:
-        raise ValueError(
-            f"subspace ambient dims {s.ambient_dims} do not match tensor dims {t.dims}"
-        )
-    x, y, z = s.x, s.y, s.z
-
-    m1 = projected_operator(t, 1, y, z)
-    x = Subspace(_dominant_left_frame(m1, x.dim, prev=x.frame))
-    f1 = float(np.linalg.norm(x.frame.T @ m1) ** 2)
-
-    m2 = projected_operator(t, 2, x, z)
-    y = Subspace(_dominant_left_frame(m2, y.dim, prev=y.frame))
-    f2 = float(np.linalg.norm(y.frame.T @ m2) ** 2)
-
-    m3 = projected_operator(t, 3, x, y)
-    z = Subspace(_dominant_left_frame(m3, z.dim, prev=z.frame))
-    f3 = float(np.linalg.norm(z.frame.T @ m3) ** 2)
-
-    return SubspaceTriple(x, y, z), (f1, f2, f3)
+    _check_triple(t, s)
+    subs = [s.x, s.y, s.z]
+    objectives = []
+    for j in range(3):
+        m = projected_operator(t, j + 1, *(subs[k] for k in range(3) if k != j))
+        subs[j] = Subspace(_dominant_left_frame(m, subs[j].dim, prev=subs[j].frame))
+        objectives.append(float(np.linalg.norm(subs[j].frame.T @ m) ** 2))
+    return SubspaceTriple(*subs), tuple(objectives)
 
 
 def verify_critical_point(
@@ -268,17 +255,13 @@ def verify_critical_point(
     the returned residual is the worst over the three modes, together
     with the verdict ``residual <= tol``.
     """
-    if s.ambient_dims != t.dims:
-        raise ValueError(
-            f"subspace ambient dims {s.ambient_dims} do not match tensor dims {t.dims}"
-        )
-    pairs = {1: (s.y, s.z), 2: (s.x, s.z), 3: (s.x, s.y)}
-    frames = {1: s.x, 2: s.y, 3: s.z}
+    _check_triple(t, s)
+    subs = (s.x, s.y, s.z)
     worst = 0.0
-    for mode in (1, 2, 3):
-        m = projected_operator(t, mode, *pairs[mode])
+    for j in range(3):
+        m = projected_operator(t, j + 1, *(subs[k] for k in range(3) if k != j))
         g = m @ m.T
-        f = frames[mode].frame
+        f = subs[j].frame
         gf = g @ f
         resid = gf - f @ (f.T @ gf)
         rel = float(np.linalg.norm(resid) / max(np.linalg.norm(g), _TINY))
@@ -294,11 +277,10 @@ def bsta_solve(t: DenseTensor3, opts: BstaOptions) -> BstaResult:
     ``rel_tol * |t|^2`` or ``max_sweeps`` is exhausted, then certifies
     the final triple with :func:`verify_critical_point`.
     """
-    ranks = _check_ranks(t.dims, opts.target_ranks)
     if opts.init == "hosvd":
-        s = hosvd_init(t, ranks)
+        s = hosvd_init(t, opts.target_ranks)
     else:
-        s = random_triple(t.dims, ranks, opts.seed)
+        s = random_triple(t.dims, opts.target_ranks, opts.seed)
 
     norm_sq = hs_norm(t) ** 2
     gain_floor = opts.rel_tol * max(norm_sq, _TINY)
@@ -318,57 +300,19 @@ def bsta_solve(t: DenseTensor3, opts: BstaOptions) -> BstaResult:
             break
 
     residual, certified = verify_critical_point(t, s, opts.crit_tol)
-    core = coefficient_tensor(t, s)
+    tucker = TuckerFactorization(
+        coefficient_tensor(t, s), (s.x.frame.T, s.y.frame.T, s.z.frame.T)
+    )
     # The direct residual norm agrees with sqrt(|t|^2 - objective) by
     # Pythagoras but avoids the sqrt(eps) cancellation floor of the
     # subtraction when the approximation is (near-)exact.
     approx_error = float(np.linalg.norm(t.data - project(t, s).data))
     return BstaResult(
         subspaces=s,
-        core=core,
+        tucker=tucker,
         objective_history=history,
         approx_error=approx_error,
         sweeps=sweeps,
         converged=stagnated and certified,
         critical_point_residual=residual,
     )
-
-
-def matrix_bsta(a, k: int) -> tuple[Subspace, Subspace, float]:
-    """Best rank-``k`` subspace pair for a matrix.
-
-    Returns the dominant left and right singular subspaces and the
-    approximation error ``sqrt(sum of discarded squared singular values)``.
-    """
-    arr = as_matrix(a)
-    if not 1 <= k <= min(arr.shape):
-        raise ValueError(f"k={k} out of range for shape {arr.shape}")
-    u, s, vh = np.linalg.svd(arr, full_matrices=False)
-    left = Subspace(u[:, :k])
-    right = Subspace(vh[:k].T)
-    error = float(np.sqrt(np.sum(s[k:] ** 2)))
-    return left, right, error
-
-
-def matrix_bsta_fixed_factor(a, y: Subspace, i: int) -> Subspace:
-    """Best ``i``-dimensional row-space partner for a fixed column subspace.
-
-    With ``Y`` fixed, the optimal ``X`` is spanned by the dominant left
-    singular vectors of ``A @ Y_frame``.  If that matrix has numerical
-    rank at most ``i`` the solution is not unique: any ``i``-dimensional
-    subspace containing its range works, and the returned frame pads the
-    range with standard basis directions.
-    """
-    arr = as_matrix(a)
-    if y.ambient_dim != arr.shape[1]:
-        raise ValueError(
-            f"subspace ambient dim {y.ambient_dim} does not match matrix columns {arr.shape[1]}"
-        )
-    if not 1 <= i <= arr.shape[0]:
-        raise ValueError(f"i={i} out of range for {arr.shape[0]} rows")
-    b = arr @ y.frame
-    u, _, _ = np.linalg.svd(b, full_matrices=False)
-    rank = numerical_rank(b)
-    if rank >= i:
-        return Subspace(u[:, :i])
-    return Subspace(_complete_frame(u[:, :rank], i))

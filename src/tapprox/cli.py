@@ -28,7 +28,14 @@ import numpy as np
 
 from .bsta import BstaOptions, bsta_solve
 from .flrta import DEFAULT_TRIALS, SelectionError, flrta_approx, select_indices
-from .tensor_core import DenseTensor3, as_matrix, hs_norm, multilinear_rank
+from .tensor_core import (
+    DenseTensor3,
+    TuckerFactorization,
+    _check_ranks,
+    as_matrix,
+    hs_norm,
+    multilinear_rank,
+)
 
 DEFAULT_SEED = 12345
 SEED_ENV_VAR = "TAPPROX_SEED"
@@ -136,15 +143,18 @@ def read_tensor_file(path: str) -> DenseTensor3:
     return DenseTensor3.from_flat(values, dims)
 
 
+def _write_numeric_file(path: str, header: str, rows, comments) -> None:
+    lines = [f"# {c}" for c in comments]
+    lines.append(header)
+    lines.extend(" ".join(_fmt_float(v) for v in row) for row in rows)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def write_tensor_file(path: str, t: DenseTensor3, comments=()) -> None:
     """Write a ``t3`` tensor file (one mode-3 fiber per line, 17 digits)."""
     m1, m2, m3 = t.dims
-    lines = [f"# {c}" for c in comments]
-    lines.append(f"t3 {m1} {m2} {m3}")
-    flat = t.data.reshape(m1 * m2, m3)
-    lines.extend(" ".join(_fmt_float(v) for v in row) for row in flat)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_numeric_file(path, f"t3 {m1} {m2} {m3}", t.data.reshape(m1 * m2, m3), comments)
 
 
 def read_matrix_file(path: str) -> np.ndarray:
@@ -156,28 +166,22 @@ def read_matrix_file(path: str) -> np.ndarray:
 def write_matrix_file(path: str, m, comments=()) -> None:
     """Write an ``m2`` matrix file (one row per line, 17 digits)."""
     arr = as_matrix(m)
-    lines = [f"# {c}" for c in comments]
-    lines.append(f"m2 {arr.shape[0]} {arr.shape[1]}")
-    lines.extend(" ".join(_fmt_float(v) for v in row) for row in arr)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_numeric_file(path, f"m2 {arr.shape[0]} {arr.shape[1]}", arr, comments)
 
 
 # ---------------------------------------------------------------------------
 # shared argument plumbing
 
 def _triple(text: str) -> tuple[int, int, int]:
-    parts = text.split(",")
+    try:
+        parts = tuple(int(p) for p in text.split(","))
+    except ValueError:
+        parts = ()
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(
             f"expected three comma-separated integers, got {text!r}"
         )
-    try:
-        return tuple(int(p) for p in parts)  # type: ignore[return-value]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected three comma-separated integers, got {text!r}"
-        ) from None
+    return parts  # type: ignore[return-value]
 
 
 def _resolve_seed(flag_value: int | None) -> int:
@@ -198,17 +202,6 @@ def _rel_error(error: float, norm: float) -> float:
     return error / norm if norm > 0.0 else 0.0
 
 
-def _emit_report(report: RunReport, prefix: str | None, as_json: bool) -> None:
-    text = report.to_text()
-    sys.stdout.write(text)
-    if prefix is not None:
-        with open(prefix + ".report.txt", "w", encoding="utf-8") as fh:
-            fh.write(text)
-        if as_json:
-            with open(prefix + ".report.json", "w", encoding="utf-8") as fh:
-                fh.write(report.to_json())
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -226,11 +219,11 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     dims, mlrank = args.dims, args.mlrank
-    for k, m in zip(mlrank, dims):
-        if not 1 <= k <= m:
-            raise ValueError(f"mlrank {mlrank} out of range for dims {dims}")
-    if args.noise < 0.0:
-        raise ValueError(f"noise standard deviation must be >= 0, got {args.noise}")
+    _check_ranks(dims, mlrank, "mlrank")
+    if not (np.isfinite(args.noise) and args.noise >= 0.0):
+        raise ValueError(
+            f"noise standard deviation must be finite and >= 0, got {args.noise}"
+        )
     seed = _resolve_seed(args.seed)
 
     rng = np.random.default_rng(seed)
@@ -260,67 +253,50 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bsta_report(t, opts, result) -> RunReport:
-    norm = hs_norm(t)
-    storage_dense = t.size
-    storage_fact = result.core.size + sum(
-        m * k for m, k in zip(t.dims, opts.target_ranks)
-    )
-    report = RunReport()
-    report.add("command", "bsta")
-    report.add("dims", _fmt_dims(t.dims))
-    report.add("target_ranks", _fmt_dims(opts.target_ranks))
-    report.add("init", opts.init)
-    report.add("seed", str(opts.seed))
-    report.add("max_sweeps", str(opts.max_sweeps))
-    report.add("rel_tol", _fmt_float(opts.rel_tol))
-    report.add("crit_tol", _fmt_float(opts.crit_tol))
-    report.add("hs_norm", _fmt_float(norm))
-    report.add("objective_final", _fmt_float(result.objective_history[-1]))
-    report.add("sweeps", str(result.sweeps))
-    report.add("converged", _fmt_bool(result.converged))
-    report.add(
-        "critical_point_residual", _fmt_float(result.critical_point_residual)
-    )
-    report.add("error_abs", _fmt_float(result.approx_error))
-    report.add("error_rel", _fmt_float(_rel_error(result.approx_error, norm)))
-    report.add("storage_dense", str(storage_dense))
-    report.add("storage_factorized", str(storage_fact))
-    report.add("storage_ratio", _fmt_float(storage_fact / storage_dense))
-    report.add("objective_history", _fmt_floats(result.objective_history))
-    return report
+@dataclass
+class Solution:
+    """One method's result, as the ``bsta``, ``flrta`` and ``bench`` commands use it.
+
+    ``head`` holds the method's report entries before the shared
+    ``error_abs ... storage_ratio`` block and ``tail`` those after it;
+    ``work`` is the effort column of the ``bench`` table.
+    """
+
+    tucker: TuckerFactorization
+    error: float
+    head: list[tuple[str, str]]
+    tail: list[tuple[str, str]]
+    work: str
 
 
-def cmd_bsta(args: argparse.Namespace) -> int:
-    t = read_tensor_file(args.file)
+def _solve_bsta(t, norm, ranks, seed, args) -> Solution:
     opts = BstaOptions(
-        target_ranks=(args.p, args.q, args.r),
+        target_ranks=ranks,
         max_sweeps=args.max_sweeps,
         rel_tol=args.rel_tol,
         init=args.init,
-        seed=_resolve_seed(args.seed),
+        seed=seed,
         crit_tol=args.crit_tol,
     )
-    start = time.perf_counter()
     result = bsta_solve(t, opts)
-    wall = time.perf_counter() - start
+    head = [
+        ("target_ranks", _fmt_dims(opts.target_ranks)),
+        ("init", opts.init),
+        ("seed", str(opts.seed)),
+        ("max_sweeps", str(opts.max_sweeps)),
+        ("rel_tol", _fmt_float(opts.rel_tol)),
+        ("crit_tol", _fmt_float(opts.crit_tol)),
+        ("hs_norm", _fmt_float(norm)),
+        ("objective_final", _fmt_float(result.objective_history[-1])),
+        ("sweeps", str(result.sweeps)),
+        ("converged", _fmt_bool(result.converged)),
+        ("critical_point_residual", _fmt_float(result.critical_point_residual)),
+    ]
+    tail = [("objective_history", _fmt_floats(result.objective_history))]
+    return Solution(result.tucker, result.approx_error, head, tail, f"{result.sweeps} sweeps")
 
-    prefix = args.out_prefix
-    write_matrix_file(prefix + ".x.mat", result.subspaces.x.frame)
-    write_matrix_file(prefix + ".y.mat", result.subspaces.y.frame)
-    write_matrix_file(prefix + ".z.mat", result.subspaces.z.frame)
-    write_tensor_file(prefix + ".core.t3", result.core)
-    _emit_report(_bsta_report(t, opts, result), prefix, args.json)
-    print(f"wall_time_s={wall:.6f}", file=sys.stderr)
-    return 0
 
-
-def cmd_flrta(args: argparse.Namespace) -> int:
-    t = read_tensor_file(args.file)
-    sizes = (args.p, args.q, args.r)
-    seed = _resolve_seed(args.seed)
-
-    start = time.perf_counter()
+def _solve_flrta(t, norm, sizes, seed, args) -> Solution:
     degenerate = False
     try:
         sel = select_indices(t, sizes, trials=args.trials, seed=seed)
@@ -331,43 +307,68 @@ def cmd_flrta(args: argparse.Namespace) -> int:
         sel = exc.selection
         degenerate = True
     fac = flrta_approx(t, sel, pinv_tol=args.pinv_tol)
-    approx = fac.reconstruct()
+    error = float(np.linalg.norm(t.data - fac.reconstruct().data))
+    conds = sel.chosen_conditions
+    head = [
+        ("section_sizes", _fmt_dims(sizes)),
+        ("trials", str(args.trials)),
+        ("seed", str(seed)),
+        ("pinv_tol", "auto" if args.pinv_tol is None else _fmt_float(args.pinv_tol)),
+        ("degenerate", _fmt_bool(degenerate)),
+        ("i_set", _fmt_ints(sel.i_set)),
+        ("j_set", _fmt_ints(sel.j_set)),
+        ("k_set", _fmt_ints(sel.k_set)),
+        ("cond_outer", _fmt_float(conds.cond_outer)),
+        ("cond_slices", _fmt_floats(conds.cond_slices)),
+        ("hs_norm", _fmt_float(norm)),
+    ]
+    return Solution(fac, error, head, [], f"{args.trials} trials")
+
+
+#: Per method: solve helper, factor-file suffixes, and whether the factors
+#: are written transposed.  BSTA writes its frames (m x k); FLRTA writes
+#: its sections as factors (k x m).
+_METHODS = {
+    "bsta": (_solve_bsta, (".x.mat", ".y.mat", ".z.mat"), True),
+    "flrta": (_solve_flrta, (".c1.mat", ".c2.mat", ".c3.mat"), False),
+}
+
+
+def cmd_solve(args: argparse.Namespace) -> int:
+    """Run ``bsta`` or ``flrta``: solve, write factors and core, report."""
+    solve, suffixes, transposed = _METHODS[args.command]
+    t = read_tensor_file(args.file)
+    norm = hs_norm(t)
+    start = time.perf_counter()
+    sol = solve(t, norm, (args.p, args.q, args.r), _resolve_seed(args.seed), args)
     wall = time.perf_counter() - start
 
-    norm = hs_norm(t)
-    error = float(np.linalg.norm(t.data - approx.data))
-    conds = sel.chosen_conditions
-
     prefix = args.out_prefix
-    write_matrix_file(prefix + ".c1.mat", fac.factors[0])
-    write_matrix_file(prefix + ".c2.mat", fac.factors[1])
-    write_matrix_file(prefix + ".c3.mat", fac.factors[2])
-    write_tensor_file(prefix + ".core.t3", fac.core)
+    for suffix, factor in zip(suffixes, sol.tucker.factors):
+        write_matrix_file(prefix + suffix, factor.T if transposed else factor)
+    write_tensor_file(prefix + ".core.t3", sol.tucker.core)
 
-    report = RunReport()
-    report.add("command", "flrta")
-    report.add("dims", _fmt_dims(t.dims))
-    report.add("section_sizes", _fmt_dims(sizes))
-    report.add("trials", str(args.trials))
-    report.add("seed", str(seed))
-    report.add(
-        "pinv_tol", "auto" if args.pinv_tol is None else _fmt_float(args.pinv_tol)
-    )
-    report.add("degenerate", _fmt_bool(degenerate))
-    report.add("i_set", _fmt_ints(sel.i_set))
-    report.add("j_set", _fmt_ints(sel.j_set))
-    report.add("k_set", _fmt_ints(sel.k_set))
-    report.add("cond_outer", _fmt_float(conds.cond_outer))
-    report.add("cond_slices", _fmt_floats(conds.cond_slices))
-    report.add("hs_norm", _fmt_float(norm))
-    report.add("error_abs", _fmt_float(error))
-    report.add("error_rel", _fmt_float(_rel_error(error, norm)))
+    stored = sol.tucker.storage_count()
+    report = RunReport([("command", args.command), ("dims", _fmt_dims(t.dims)), *sol.head])
+    report.add("error_abs", _fmt_float(sol.error))
+    report.add("error_rel", _fmt_float(_rel_error(sol.error, norm)))
     report.add("storage_dense", str(t.size))
-    report.add("storage_factorized", str(fac.storage_count()))
-    report.add("storage_ratio", _fmt_float(fac.storage_count() / t.size))
-    _emit_report(report, prefix, args.json)
+    report.add("storage_factorized", str(stored))
+    report.add("storage_ratio", _fmt_float(stored / t.size))
+    report.entries.extend(sol.tail)
+    text = report.to_text()
+    sys.stdout.write(text)
+    with open(prefix + ".report.txt", "w", encoding="utf-8") as fh:
+        fh.write(text)
+    if args.json:
+        with open(prefix + ".report.json", "w", encoding="utf-8") as fh:
+            fh.write(report.to_json())
     print(f"wall_time_s={wall:.6f}", file=sys.stderr)
     return 0
+
+
+# The subcommands' former function names, kept for code that refers to them.
+cmd_bsta = cmd_flrta = cmd_solve
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -377,40 +378,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     rows = []
     for ranks in args.ranks:
-        start = time.perf_counter()
-        result = bsta_solve(t, BstaOptions(target_ranks=ranks, seed=seed))
-        wall = time.perf_counter() - start
-        storage = result.core.size + sum(m * k for m, k in zip(t.dims, ranks))
-        rows.append(
-            (
-                "bsta",
-                ranks,
-                _rel_error(result.approx_error, norm),
-                f"{result.sweeps} sweeps",
-                storage / t.size,
-                wall,
-            )
-        )
-
-        start = time.perf_counter()
-        try:
-            sel = select_indices(t, ranks, trials=args.trials, seed=seed)
-        except SelectionError as exc:
-            print(f"warning: {exc}", file=sys.stderr)
-            sel = exc.selection
-        fac = flrta_approx(t, sel)
-        error = float(np.linalg.norm(t.data - fac.reconstruct().data))
-        wall = time.perf_counter() - start
-        rows.append(
-            (
-                "flrta",
-                ranks,
-                _rel_error(error, norm),
-                f"{args.trials} trials",
-                fac.storage_count() / t.size,
-                wall,
-            )
-        )
+        for method, (solve, _, _) in _METHODS.items():
+            start = time.perf_counter()
+            sol = solve(t, norm, ranks, seed, args)
+            wall = time.perf_counter() - start
+            rel = _rel_error(sol.error, norm)
+            rows.append((method, ranks, rel, sol.work, sol.tucker.storage_count() / t.size, wall))
 
     header = f"{'method':<8}{'ranks':<12}{'rel_error':<18}{'work':<14}{'storage':<12}{'wall_s':<10}"
     print(header)
@@ -457,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bsta.add_argument("--seed", type=int, default=None)
     p_bsta.add_argument("--crit-tol", type=float, default=BstaOptions.crit_tol)
     p_bsta.add_argument("--json", action="store_true", help="also write a JSON report")
-    p_bsta.set_defaults(func=cmd_bsta)
+    p_bsta.set_defaults(func=cmd_solve)
 
     p_flrta = sub.add_parser("flrta", help="fiber-sampling low-rank approximation")
     p_flrta.add_argument("file", help="tensor file (t3 format)")
@@ -469,14 +442,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_flrta.add_argument("--seed", type=int, default=None)
     p_flrta.add_argument("--pinv-tol", type=float, default=None)
     p_flrta.add_argument("--json", action="store_true", help="also write a JSON report")
-    p_flrta.set_defaults(func=cmd_flrta)
+    p_flrta.set_defaults(func=cmd_solve)
 
     p_bench = sub.add_parser("bench", help="compare both methods over a list of ranks")
     p_bench.add_argument("file", help="tensor file (t3 format)")
     p_bench.add_argument("ranks", type=_triple, nargs="+", metavar="P,Q,R")
     p_bench.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p_bench.add_argument("--seed", type=int, default=None)
-    p_bench.set_defaults(func=cmd_bench)
+    # bench runs both methods with the defaults of the flags it does not offer.
+    p_bench.set_defaults(func=cmd_bench, max_sweeps=BstaOptions.max_sweeps,
+                         rel_tol=BstaOptions.rel_tol, init=BstaOptions.init,
+                         crit_tol=BstaOptions.crit_tol, pinv_tol=None)
 
     return parser
 

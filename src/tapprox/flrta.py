@@ -19,7 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor_core import DenseTensor3, as_matrix, numerical_rank
+from .tensor_core import (
+    DenseTensor3,
+    TuckerFactorization,
+    _check_factors,
+    _check_ranks,
+    as_matrix,
+    numerical_rank,
+)
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -115,52 +122,16 @@ class IndexSelection:
         return None
 
 
-@dataclass(frozen=True, eq=False)
-class TuckerFactorization:
-    """Core tensor plus one factor matrix per mode.
-
-    Factor ``j`` has shape ``(core_dim_j, out_dim_j)``: it maps the
-    core's mode-``j`` coordinates onto the reconstructed tensor's, so
-    ``reconstruct()`` contracts each core axis with its factor's rows.
-    """
-
-    core: DenseTensor3
-    factors: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-    def __post_init__(self) -> None:
-        if len(self.factors) != 3:
-            raise ValueError(f"expected three factors, got {len(self.factors)}")
-        facs = tuple(as_matrix(f, f"factor {j + 1}") for j, f in enumerate(self.factors))
-        for j, f in enumerate(facs):
-            if f.shape[0] != self.core.dims[j]:
-                raise ValueError(
-                    f"factor {j + 1} rows ({f.shape[0]}) do not match core "
-                    f"dimension ({self.core.dims[j]})"
-                )
-        object.__setattr__(self, "factors", facs)
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        """Dimensions of the reconstructed tensor."""
-        return tuple(f.shape[1] for f in self.factors)  # type: ignore[return-value]
-
-    def reconstruct(self) -> DenseTensor3:
-        """Contract the core with all three factors."""
-        f1, f2, f3 = self.factors
-        out = np.einsum("abc,ai,bj,ck->ijk", self.core.data, f1, f2, f3, optimize=True)
-        return DenseTensor3(out)
-
-    def storage_count(self) -> int:
-        """Number of stored scalars (core plus factors)."""
-        return self.core.size + sum(f.size for f in self.factors)
-
-
 def pinv(m, tol: float | None = None) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD.
 
     Singular values at or below ``tol * sigma_max`` are treated as zero;
-    the default ``tol`` is ``max(rows, cols) * machine_eps``.
+    the default ``tol`` is ``max(rows, cols) * machine_eps``.  A negative
+    or NaN ``tol`` is rejected: it would invert every singular value,
+    however small, and return a silently wrong answer.
     """
+    if tol is not None and not tol >= 0.0:
+        raise ValueError(f"pinv tolerance must be >= 0, got {tol}")
     arr = as_matrix(m)
     u, s, vh = np.linalg.svd(arr, full_matrices=False)
     if tol is None:
@@ -172,6 +143,11 @@ def pinv(m, tol: float | None = None) -> np.ndarray:
     return (vh.T * inv) @ u.T
 
 
+def _check_selection(t: DenseTensor3, sel: IndexSelection) -> None:
+    if sel.dims != t.dims:
+        raise ValueError(f"selection dims {sel.dims} do not match tensor dims {t.dims}")
+
+
 def sections(
     t: DenseTensor3, sel: IndexSelection
 ) -> tuple[DenseTensor3, DenseTensor3, DenseTensor3]:
@@ -180,8 +156,7 @@ def sections(
     The first section keeps all of mode 1 and restricts modes 2, 3 to
     ``(j_set, k_set)``; the other two analogously keep modes 2 and 3.
     """
-    if sel.dims != t.dims:
-        raise ValueError(f"selection dims {sel.dims} do not match tensor dims {t.dims}")
+    _check_selection(t, sel)
     a = t.data
     l1, l2, l3 = t.dims
     c1 = a[np.ix_(np.arange(l1), sel.j_set, sel.k_set)]
@@ -196,8 +171,7 @@ def slice_cross(t: DenseTensor3, sel: IndexSelection, k: int, pinv_tol: float | 
     Returns ``F[:, J] @ pinv(F[I, J]) @ F[I, :]`` for the slice
     ``F = t[:, :, k]``; exact whenever ``rank(F[I, J]) == rank(F)``.
     """
-    if sel.dims != t.dims:
-        raise ValueError(f"selection dims {sel.dims} do not match tensor dims {t.dims}")
+    _check_selection(t, sel)
     if k not in sel.k_set:
         raise ValueError(f"slice index {k} is not in k_set {sel.k_set}")
     f = t.data[:, :, k]
@@ -216,27 +190,25 @@ def flrta_approx(t: DenseTensor3, sel: IndexSelection, pinv_tol: float | None = 
     only entries of ``t`` on the sections appear in the factors, and the
     core is built from pseudoinverses of the small cross blocks.
     """
-    if sel.dims != t.dims:
-        raise ValueError(f"selection dims {sel.dims} do not match tensor dims {t.dims}")
-    a = t.data
+    s1, s2, s3 = sections(t, sel)
     l1, l2, l3 = t.dims
     p, q, r = sel.sizes
 
     # Sections, reshaped as factor matrices (rows pack the two sampled
     # indices lexicographically; columns run over the free mode).
-    c1 = a[np.ix_(np.arange(l1), sel.j_set, sel.k_set)].transpose(1, 2, 0).reshape(q * r, l1)
-    c2 = a[np.ix_(sel.i_set, np.arange(l2), sel.k_set)].transpose(0, 2, 1).reshape(p * r, l2)
-    c3 = a[np.ix_(sel.i_set, sel.j_set, np.arange(l3))].reshape(p * q, l3)
+    c1 = s1.data.transpose(1, 2, 0).reshape(q * r, l1)
+    c2 = s2.data.transpose(0, 2, 1).reshape(p * r, l2)
+    c3 = s3.data.reshape(p * q, l3)
 
-    # Interpolation weights across mode 3 ...
-    w = pinv(a.reshape(l1 * l2, l3)[np.ix_(sel.l_set, sel.k_set)], pinv_tol)  # (r, p*q)
+    # Interpolation weights across mode 3 (the rows of c3 are the L rows
+    # of the mode-3-major unfolding) ...
+    w = pinv(c3[:, sel.k_set], pinv_tol)  # (r, p*q)
     # ... and within each selected slice.
     core = np.zeros((q * r, p * r, p * q))
     row_base = np.arange(q) * r
     col_base = np.arange(p) * r
-    cross_slab = a[np.ix_(sel.i_set, sel.j_set)]  # (p, q, l3)
     for kidx, k in enumerate(sel.k_set):
-        pk = pinv(cross_slab[:, :, k], pinv_tol)  # (q, p)
+        pk = pinv(s3.data[:, :, k], pinv_tol)  # (q, p)
         core[np.ix_(row_base + kidx, col_base + kidx)] = pk[:, :, None] * w[kidx][None, None, :]
     return TuckerFactorization(DenseTensor3(core), (c1, c2, c3))
 
@@ -270,10 +242,7 @@ def select_indices(
     error carries the best-effort selection and the full report.
     """
     l1, l2, l3 = t.dims
-    p, q, r = (int(k) for k in ranks)
-    for size, bound, name in ((p, l1, "p"), (q, l2, "q"), (r, l3, "r")):
-        if not 1 <= size <= bound:
-            raise ValueError(f"section size {name}={size} out of range [1, {bound}]")
+    p, q, r = _check_ranks(t.dims, ranks, "section sizes")
     trials = int(trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -286,14 +255,12 @@ def select_indices(
         kk = tuple(sorted(rng.choice(l3, size=r, replace=False).tolist()))
         cands.append((ii, jj, kk))
 
-    unfolded = t.data.reshape(l1 * l2, l3)
     records = []
     for ii, jj, kk in cands:
-        l_set = [i * l2 + j for i in ii for j in jj]
-        cond_outer = _condition_number(unfolded[np.ix_(l_set, kk)])
-        cond_slices = tuple(
-            _condition_number(t.data[np.ix_(ii, jj, [k])][:, :, 0]) for k in kk
-        )
+        # The third section holds both kinds of cross block, as in flrta_approx.
+        fibers = t.data[np.ix_(ii, jj)]  # (p, q, l3)
+        cond_outer = _condition_number(fibers.reshape(p * q, l3)[:, kk])
+        cond_slices = tuple(_condition_number(fibers[:, :, k]) for k in kk)
         records.append(TrialConditions(ii, jj, kk, cond_outer, cond_slices))
 
     best = min(records, key=lambda rec: (rec.worst, rec.i_set, rec.j_set, rec.k_set))
@@ -316,19 +283,6 @@ def select_indices(
     return selection
 
 
-def _check_factors(t: DenseTensor3, factors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if len(factors) != 3:
-        raise ValueError(f"expected three factors, got {len(factors)}")
-    facs = tuple(as_matrix(f, f"factor {j + 1}") for j, f in enumerate(factors))
-    for j, f in enumerate(facs):
-        if f.shape[1] != t.dims[j]:
-            raise ValueError(
-                f"factor {j + 1} columns ({f.shape[1]}) do not match tensor "
-                f"dimension ({t.dims[j]})"
-            )
-    return facs
-
-
 def fit_core_full(t: DenseTensor3, factors, pinv_tol: float | None = None) -> DenseTensor3:
     """Least-squares core for fixed factors, fitted over every entry.
 
@@ -336,7 +290,7 @@ def fit_core_full(t: DenseTensor3, factors, pinv_tol: float | None = None) -> De
     and the minimum-norm optimum is the tensor contracted with the
     pseudoinverse of each factor's transpose.
     """
-    f1, f2, f3 = _check_factors(t, factors)
+    f1, f2, f3 = _check_factors(factors, t.dims, 1, "tensor")
     p1 = pinv(f1.T, pinv_tol)
     p2 = pinv(f2.T, pinv_tol)
     p3 = pinv(f3.T, pinv_tol)
@@ -356,9 +310,8 @@ def fit_core_cross(
     (each sampled entry counted once).  A rank-deficient design yields
     the minimum-norm core and a :class:`RankDeficientDesignWarning`.
     """
-    if sel.dims != t.dims:
-        raise ValueError(f"selection dims {sel.dims} do not match tensor dims {t.dims}")
-    f1, f2, f3 = _check_factors(t, factors)
+    _check_selection(t, sel)
+    f1, f2, f3 = _check_factors(factors, t.dims, 1, "tensor")
     l1, l2, l3 = t.dims
 
     coords = set()

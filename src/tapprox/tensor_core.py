@@ -8,6 +8,7 @@ indices in code are 0-based like the rest of Python.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -91,10 +92,35 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def _check_factors(factors, dims, axis: int, of: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Three factor matrices whose rows (``axis=0``) or columns (``axis=1``) match ``dims``."""
+    if len(factors) != 3:
+        raise ValueError(f"expected three factors, got {len(factors)}")
+    facs = tuple(as_matrix(f, f"factor {j + 1}") for j, f in enumerate(factors))
+    for j, f in enumerate(facs):
+        if f.shape[axis] != dims[j]:
+            raise ValueError(
+                f"factor {j + 1} {('rows', 'columns')[axis]} ({f.shape[axis]}) do not "
+                f"match {of} dimension ({dims[j]})"
+            )
+    return facs  # type: ignore[return-value]
+
+
 def _check_mode(mode: int) -> int:
     if mode not in _MODES:
         raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
     return mode - 1
+
+
+def _check_ranks(dims, ranks, what: str = "target ranks") -> tuple[int, int, int]:
+    """Validate three ranks against ``dims``: each must lie in ``[1, dim]``."""
+    ranks = tuple(int(k) for k in ranks)
+    if len(ranks) != 3:
+        raise ValueError(f"expected three {what}, got {ranks}")
+    for k, m in zip(ranks, dims):
+        if not 1 <= k <= m:
+            raise ValueError(f"{what} {ranks} out of range for dims {tuple(dims)}")
+    return ranks  # type: ignore[return-value]
 
 
 def unfold(t: DenseTensor3, mode: int) -> np.ndarray:
@@ -185,3 +211,37 @@ def mode_multiply(core: DenseTensor3, m, mode: int) -> DenseTensor3:
         )
     out = np.moveaxis(np.tensordot(core.data, arr, axes=(ax, 0)), -1, ax)
     return DenseTensor3(out)
+
+
+@dataclass(frozen=True, eq=False)
+class TuckerFactorization:
+    """Core tensor plus one factor matrix per mode.
+
+    Factor ``j`` has shape ``(core_dim_j, out_dim_j)``: it maps the
+    core's mode-``j`` coordinates onto the reconstructed tensor's, so
+    ``reconstruct()`` contracts each core axis with its factor's rows.
+    Both solvers return this form: BSTA's factors are its transposed
+    frames, FLRTA's are the sampled sections.
+    """
+
+    core: DenseTensor3
+    factors: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    def __post_init__(self) -> None:
+        facs = _check_factors(self.factors, self.core.dims, 0, "core")
+        object.__setattr__(self, "factors", facs)
+
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        """Dimensions of the reconstructed tensor."""
+        return tuple(f.shape[1] for f in self.factors)  # type: ignore[return-value]
+
+    def reconstruct(self) -> DenseTensor3:
+        """Contract the core with all three factors."""
+        f1, f2, f3 = self.factors
+        out = np.einsum("abc,ai,bj,ck->ijk", self.core.data, f1, f2, f3, optimize=True)
+        return DenseTensor3(out)
+
+    def storage_count(self) -> int:
+        """Number of stored scalars (core plus factors)."""
+        return self.core.size + sum(f.size for f in self.factors)

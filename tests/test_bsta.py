@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from tapprox import (
@@ -12,8 +14,7 @@ from tapprox import (
     distance,
     hosvd_init,
     hs_norm,
-    matrix_bsta,
-    matrix_bsta_fixed_factor,
+    project,
     projected_operator,
     random_triple,
     relaxation_sweep,
@@ -191,7 +192,7 @@ def test_full_ranks_give_zero_error_in_one_sweep():
     assert res.sweeps == 1
     assert res.approx_error <= 1e-12 * hs_norm(t)
     assert res.converged
-    assert res.core.dims == (3, 4, 2)
+    assert res.tucker.core.dims == (3, 4, 2)
 
 
 def test_exact_low_rank_tensor_is_recovered():
@@ -235,7 +236,7 @@ def test_core_matches_coefficient_tensor():
     t = random_tensor(rng, (5, 4, 4))
     res = bsta_solve(t, BstaOptions(target_ranks=(2, 2, 2)))
     assert_allclose(
-        res.core.data, coefficient_tensor(t, res.subspaces).data, rtol=0, atol=0
+        res.tucker.core.data, coefficient_tensor(t, res.subspaces).data, rtol=0, atol=0
     )
 
 
@@ -246,7 +247,7 @@ def test_solver_runs_are_reproducible():
     res2 = bsta_solve(DenseTensor3(data), BstaOptions(target_ranks=(2, 2, 2), init="random", seed=3))
     assert res1.objective_history == res2.objective_history
     assert np.array_equal(res1.subspaces.x.frame, res2.subspaces.x.frame)
-    assert np.array_equal(res1.core.data, res2.core.data)
+    assert np.array_equal(res1.tucker.core.data, res2.tucker.core.data)
     assert res1.sweeps == res2.sweeps
 
 
@@ -317,73 +318,39 @@ def test_certificate_of_zero_tensor_is_zero():
 
 
 # ---------------------------------------------------------------------------
-# matrix specializations
+# the shared Tucker result
 
-def test_matrix_bsta_on_a_diagonal_matrix():
-    a = np.diag([3.0, 2.0, 1.0])
-    left, right, err = matrix_bsta(a, 2)
-    assert_allclose(err, 1.0, rtol=1e-14)
-    expected = Subspace(np.eye(3)[:, :2])
-    assert same_subspace(left, expected)
-    assert same_subspace(right, expected)
-
-
-def test_matrix_bsta_matches_svd_subspaces():
-    rng = np.random.default_rng(95)
-    a = rng.standard_normal((7, 5))
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    for k in (1, 3, 5):
-        left, right, err = matrix_bsta(a, k)
-        assert same_subspace(left, Subspace(u[:, :k]))
-        assert same_subspace(right, Subspace(vh[:k].T))
-        assert_allclose(err, np.sqrt(np.sum(s[k:] ** 2)), rtol=1e-12, atol=1e-14)
+@st.composite
+def tensor_and_ranks(draw):
+    dims = tuple(draw(st.integers(1, 5)) for _ in range(3))
+    ranks = tuple(draw(st.integers(1, m)) for m in dims)
+    seed = draw(st.integers(0, 2**32 - 1))
+    zero = draw(st.booleans())
+    data = np.zeros(dims) if zero else np.random.default_rng(seed).standard_normal(dims)
+    return DenseTensor3(data), ranks
 
 
-def test_matrix_bsta_range_check():
-    with pytest.raises(ValueError):
-        matrix_bsta(np.eye(3), 0)
-    with pytest.raises(ValueError):
-        matrix_bsta(np.eye(3), 4)
+@settings(max_examples=40, deadline=None)
+@given(tensor_and_ranks())
+@example((DenseTensor3(np.random.default_rng(1).standard_normal((1, 4, 4))), (1, 2, 3)))
+@example((DenseTensor3(np.random.default_rng(2).standard_normal((3, 4, 2))), (3, 4, 2)))
+@example((DenseTensor3(np.zeros((1, 3, 3))), (1, 3, 3)))
+def test_tucker_result_is_the_projection(case):
+    t, ranks = case
+    res = bsta_solve(t, BstaOptions(target_ranks=ranks))
+    tucker = res.tucker
+    gap = np.linalg.norm(tucker.reconstruct().data - project(t, res.subspaces).data)
+    assert gap <= 1e-12 * hs_norm(t)
+    assert tucker.dims == t.dims
+    expected = tucker.core.size + sum(m * k for m, k in zip(t.dims, ranks))
+    assert tucker.storage_count() == expected
 
 
-def test_fixed_factor_with_full_partner_matches_matrix_bsta():
-    rng = np.random.default_rng(96)
-    a = rng.standard_normal((6, 4))
-    left, _, _ = matrix_bsta(a, 2)
-    x = matrix_bsta_fixed_factor(a, Subspace(np.eye(4)), 2)
-    assert same_subspace(x, left)
-
-
-def test_fixed_factor_on_rank_one_matrix():
-    u = np.array([1.0, 2.0, -2.0])
-    v = np.array([0.0, 3.0, 4.0, 0.0])
-    a = np.outer(u, v)
-    x = matrix_bsta_fixed_factor(a, Subspace((v / 5.0)[:, None]), 1)
-    assert same_subspace(x, Subspace((u / 3.0)[:, None]))
-
-
-def test_fixed_factor_pads_with_standard_basis_when_underdetermined():
-    # A @ Y is zero, so any subspace is optimal; the deterministic
-    # choice is the one spanned by the leading basis vectors.
-    a = np.zeros((5, 4))
-    y = Subspace(np.eye(4)[:, :2])
-    x = matrix_bsta_fixed_factor(a, y, 3)
-    assert np.allclose(x.frame, np.eye(5)[:, :3])
-
-
-def test_fixed_factor_contains_the_range_when_rank_is_low():
-    u = np.array([0.0, 0.0, 1.0, 0.0])
-    v = np.array([1.0, 0.0])
-    a = np.outer(u, v)
-    x = matrix_bsta_fixed_factor(a, Subspace(np.eye(2)), 2)
-    # range(A Y) = span(e3) must be inside the returned subspace
-    proj = x.frame @ (x.frame.T @ u)
-    assert_allclose(proj, u, rtol=0, atol=1e-12)
-
-
-def test_fixed_factor_validates_inputs():
-    a = np.zeros((3, 4))
-    with pytest.raises(ValueError):
-        matrix_bsta_fixed_factor(a, Subspace(np.eye(3)[:, :1]), 1)  # wrong ambient
-    with pytest.raises(ValueError):
-        matrix_bsta_fixed_factor(a, Subspace(np.eye(4)[:, :1]), 4)  # i > rows
+def test_tucker_factors_are_views_of_the_frames():
+    rng = np.random.default_rng(97)
+    t = random_tensor(rng, (5, 4, 3))
+    res = bsta_solve(t, BstaOptions(target_ranks=(2, 2, 2)))
+    s = res.subspaces
+    for factor, sub in zip(res.tucker.factors, (s.x, s.y, s.z)):
+        assert np.shares_memory(factor, sub.frame)
+        assert np.array_equal(factor, sub.frame.T)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import tapprox
 from tapprox import DenseTensor3, hs_norm, multilinear_rank
 from tapprox.cli import (
     DEFAULT_SEED,
@@ -126,11 +127,19 @@ def test_gen_noise_perturbs_the_rank(tmp_path, capsys):
 
 
 def test_gen_validates_mlrank(tmp_path, capsys):
-    rc, _, err = run_cli(
-        capsys, ["gen", str(tmp_path / "t.t3"), "--dims", "3,3,3", "--mlrank", "4,1,1"]
-    )
-    assert rc == 1
-    assert err.startswith("error:")
+    out_file = tmp_path / "t.t3"
+    base = ["gen", str(out_file), "--dims", "3,3,3"]
+    for extra in (
+        ["--mlrank", "4,1,1"],
+        ["--mlrank", "1,1,1", "--noise", "nan"],
+        ["--mlrank", "1,1,1", "--noise", "inf"],
+        ["--mlrank", "1,1,1", "--noise", "-1"],
+    ):
+        rc, out, err = run_cli(capsys, base + extra)
+        assert rc == 1, extra
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert not out_file.exists()
 
 
 def test_info_reports_rank_and_norm(tmp_path, capsys):
@@ -261,6 +270,19 @@ def test_flrta_zero_tensor_degenerates_gracefully(tmp_path, capsys):
     assert rep["cond_outer"] == "inf"
 
 
+def test_flrta_rejects_negative_pinv_tol(tmp_path, capsys):
+    f = str(tmp_path / "g.t3")
+    rc, _, _ = run_cli(capsys, ["gen", f, "--dims", "5,5,5", "--mlrank", "2,2,2", "--seed", "1"])
+    assert rc == 0
+    prefix = str(tmp_path / "o")
+    for tol in ("-1", "nan"):
+        rc, out, err = run_cli(capsys, ["flrta", f, "3", "3", "3", prefix, "--pinv-tol", tol])
+        assert rc == 1
+        assert out == ""
+        assert err.splitlines()[-1].startswith("error:") and "pinv" in err
+        assert not os.path.exists(prefix + ".report.txt")
+
+
 def test_flrta_is_deterministic(tmp_path, capsys):
     rng = np.random.default_rng(127)
     f = str(tmp_path / "t.t3")
@@ -369,16 +391,22 @@ def test_malformed_triple_is_a_usage_error(tmp_path):
 
 
 def test_console_entry_point_runs(tmp_path):
+    # Run the same package this process imported, installed or not.
+    src = os.path.dirname(os.path.dirname(tapprox.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
     f = str(tmp_path / "t.t3")
     out = subprocess.run(
         [sys.executable, "-m", "tapprox", "gen", f, "--dims", "3,3,3",
          "--mlrank", "1,1,1", "--seed", "1"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert out.returncode == 0, out.stderr
     info = subprocess.run(
-        [sys.executable, "-m", "tapprox", "info", f], capture_output=True, text=True
+        [sys.executable, "-m", "tapprox", "info", f], capture_output=True, text=True, env=env
     )
     assert info.returncode == 0
     assert "multilinear_rank=1x1x1" in info.stdout

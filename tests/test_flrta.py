@@ -131,6 +131,15 @@ def test_pinv_tolerance_cuts_small_singular_values():
 # ---------------------------------------------------------------------------
 # slice_cross
 
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, float("nan")])
+def test_pinv_rejects_negative_or_nan_tolerance(tol):
+    with pytest.raises(ValueError, match="pinv tolerance"):
+        pinv(np.eye(3), tol=tol)
+    t = DenseTensor3(np.ones((2, 2, 2)))
+    with pytest.raises(ValueError, match="pinv tolerance"):
+        flrta_approx(t, IndexSelection(t.dims, (0,), (0,), (0,)), pinv_tol=tol)
+
+
 def test_slice_cross_is_exact_on_matching_rank():
     rng = np.random.default_rng(105)
     # a rank-2 slice embedded as the only slice of a (6, 7, 1) tensor
