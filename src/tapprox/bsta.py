@@ -99,8 +99,12 @@ class BstaResult:
     mode update (three entries per sweep) and is non-decreasing.
     ``approx_error`` is the distance from the input to the final product
     subspace, so ``approx_error**2 + objective_history[-1]`` equals the
-    squared norm of the input.  ``converged`` means the sweep loop
-    stagnated *and* the critical-point certificate passed.
+    squared norm of the input.  ``stop_reason`` says why the sweep loop
+    ended: ``"gain"`` when a full sweep gained less than the floor set by
+    ``rel_tol``, ``"max_sweeps"`` when the sweep budget ran out first.
+    ``converged`` means the loop stopped on the gain floor *and* the
+    critical-point certificate passed, so a ``"gain"`` stop can still
+    leave ``converged`` false when the residual exceeds ``crit_tol``.
 
     ``tucker`` holds the coefficient tensor as its core and the frames,
     transposed to ``(k, m)``, as its factors, so ``tucker.reconstruct()``
@@ -112,6 +116,7 @@ class BstaResult:
     objective_history: list[float] = field(repr=False)
     approx_error: float
     sweeps: int
+    stop_reason: str
     converged: bool
     critical_point_residual: float
 
@@ -213,11 +218,31 @@ def random_triple(
     return SubspaceTriple(*frames)
 
 
+def _unfolding_frame(u: np.ndarray, k: int) -> np.ndarray:
+    """Dominant ``k``-dimensional left frame of an unfolding ``u``.
+
+    A wide ``u`` takes the eigenvectors of ``u @ u.T`` with the ``k``
+    largest eigenvalues, largest first: the top left singular subspace
+    at a fraction of the cost of a thin SVD of ``u``.  A tall ``u`` keeps
+    the SVD, because its row Gram matrix would be the large one.
+    """
+    if u.shape[0] > u.shape[1]:
+        return _dominant_left_frame(u, k)
+    _, vecs = np.linalg.eigh(u @ u.T)
+    return vecs[:, ::-1][:, :k]
+
+
 def hosvd_init(t: DenseTensor3, ranks: tuple[int, int, int]) -> SubspaceTriple:
-    """Initial triple from the dominant left singular frames of the unfoldings."""
+    """Initial triple from the dominant left singular frames of the unfoldings.
+
+    Each mode's frame comes from its ``m x n`` unfolding ``u``: from the
+    eigenvectors of the ``m x m`` Gram matrix ``u @ u.T`` when the
+    unfolding is wide (``m <= n``), else from a thin SVD of ``u``.  The
+    Gram matrix of the longer side is never formed.
+    """
     _check_ranks(t.dims, ranks)
     frames = [
-        Subspace(_dominant_left_frame(unfold(t, mode), ranks[mode - 1]))
+        Subspace(_unfolding_frame(unfold(t, mode), ranks[mode - 1]))
         for mode in (1, 2, 3)
     ]
     return SubspaceTriple(*frames)
@@ -254,17 +279,22 @@ def verify_critical_point(
     The residual for one mode is ``|G F - F (F^T G F)|_F / max(|G|_F, tiny)``;
     the returned residual is the worst over the three modes, together
     with the verdict ``residual <= tol``.
+
+    ``G`` itself is never formed: ``G F`` is computed as ``M (M^T F)``,
+    and ``|G|_F`` from the smaller of ``M^T M`` and ``M M^T``, whose
+    Frobenius norms are equal.  A tall mode (``M`` of shape ``m x n`` with
+    ``m`` much larger than ``n``) thus costs ``n x n`` memory, not ``m x m``.
     """
     _check_triple(t, s)
     subs = (s.x, s.y, s.z)
     worst = 0.0
     for j in range(3):
         m = projected_operator(t, j + 1, *(subs[k] for k in range(3) if k != j))
-        g = m @ m.T
         f = subs[j].frame
-        gf = g @ f
+        gf = m @ (m.T @ f)
         resid = gf - f @ (f.T @ gf)
-        rel = float(np.linalg.norm(resid) / max(np.linalg.norm(g), _TINY))
+        small_gram = m.T @ m if m.shape[0] > m.shape[1] else m @ m.T
+        rel = float(np.linalg.norm(resid) / max(np.linalg.norm(small_gram), _TINY))
         worst = max(worst, rel)
     return worst, worst <= tol
 
@@ -288,7 +318,7 @@ def bsta_solve(t: DenseTensor3, opts: BstaOptions) -> BstaResult:
 
     history: list[float] = []
     sweeps = 0
-    stagnated = False
+    stop_reason = "max_sweeps"
     for _ in range(opts.max_sweeps):
         s, fs = relaxation_sweep(t, s)
         sweeps += 1
@@ -296,7 +326,7 @@ def bsta_solve(t: DenseTensor3, opts: BstaOptions) -> BstaResult:
         gain = fs[2] - obj
         obj = fs[2]
         if gain < gain_floor:
-            stagnated = True
+            stop_reason = "gain"
             break
 
     residual, certified = verify_critical_point(t, s, opts.crit_tol)
@@ -313,6 +343,7 @@ def bsta_solve(t: DenseTensor3, opts: BstaOptions) -> BstaResult:
         objective_history=history,
         approx_error=approx_error,
         sweeps=sweeps,
-        converged=stagnated and certified,
+        stop_reason=stop_reason,
+        converged=stop_reason == "gain" and certified,
         critical_point_residual=residual,
     )

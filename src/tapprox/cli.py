@@ -289,6 +289,7 @@ def _solve_bsta(t, norm, ranks, seed, args) -> Solution:
         ("hs_norm", _fmt_float(norm)),
         ("objective_final", _fmt_float(result.objective_history[-1])),
         ("sweeps", str(result.sweeps)),
+        ("stop_reason", result.stop_reason),
         ("converged", _fmt_bool(result.converged)),
         ("critical_point_residual", _fmt_float(result.critical_point_residual)),
     ]

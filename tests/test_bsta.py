@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +13,6 @@ from tapprox import (
     SubspaceTriple,
     bsta_solve,
     coefficient_tensor,
-    distance,
     hosvd_init,
     hs_norm,
     project,
@@ -41,6 +42,17 @@ def spike_tensor() -> DenseTensor3:
 def e2_triple() -> SubspaceTriple:
     f = np.array([[0.0], [1.0]])
     return SubspaceTriple(Subspace(f), Subspace(f), Subspace(f))
+
+
+@st.composite
+def tensor_and_ranks(draw):
+    """A tensor (Gaussian or zero) with dims in 1..5 and valid target ranks."""
+    dims = tuple(draw(st.integers(1, 5)) for _ in range(3))
+    ranks = tuple(draw(st.integers(1, m)) for m in dims)
+    seed = draw(st.integers(0, 2**32 - 1))
+    zero = draw(st.booleans())
+    data = np.zeros(dims) if zero else np.random.default_rng(seed).standard_normal(dims)
+    return DenseTensor3(data), ranks
 
 
 # ---------------------------------------------------------------------------
@@ -96,10 +108,44 @@ def test_projected_operator_checks_ambient_dims():
 # initialization
 
 def test_hosvd_init_recovers_an_exact_product():
-    rng = np.random.default_rng(82)
-    t = tucker_tensor(rng, (6, 5, 4), (2, 2, 3))
-    s = hosvd_init(t, (2, 2, 3))
-    assert distance(t, s) <= 1e-10 * hs_norm(t)
+    # The direct residual, not distance(): distance() goes through
+    # Pythagoras, which bottoms out near sqrt(machine eps).  The (12, 2, 3)
+    # tensor has a tall mode-1 unfolding (12 x 6), the other unfoldings
+    # are wide, so both ways of finding a frame are covered.
+    for seed in range(82, 92):
+        rng = np.random.default_rng(seed)
+        for dims, ranks in (((6, 5, 4), (2, 2, 3)), ((12, 2, 3), (3, 2, 3))):
+            t = tucker_tensor(rng, dims, ranks)
+            s = hosvd_init(t, ranks)
+            gap = np.linalg.norm(t.data - project(t, s).data)
+            assert gap <= 1e-10 * hs_norm(t), (seed, dims)
+
+
+def _case(dims, ranks, seed=0):
+    return DenseTensor3(np.random.default_rng(seed).standard_normal(dims)), ranks
+
+
+@settings(max_examples=60, deadline=None)
+@given(tensor_and_ranks())
+@example(_case((1, 4, 4), (1, 2, 4)))
+@example(_case((3, 4, 2), (3, 4, 2)))
+@example(_case((12, 2, 3), (5, 2, 3)))
+@example(_case((7, 2, 3), (7, 1, 2)))
+@example((DenseTensor3(np.zeros((4, 1, 3))), (2, 1, 3)))
+def test_hosvd_frames_are_orthonormal_and_capture_the_top_energy(case):
+    # Energy, not subspaces, is compared, so the check also holds when
+    # singular values tie and the dominant subspace is not unique.
+    t, ranks = case
+    s = hosvd_init(t, ranks)
+    norm_sq = hs_norm(t) ** 2
+    for mode, sub, k in zip((1, 2, 3), (s.x, s.y, s.z), ranks):
+        f = sub.frame
+        assert f.shape == (t.dims[mode - 1], k)
+        assert np.max(np.abs(f.T @ f - np.eye(k))) <= 1e-12
+        u = unfold(t, mode)
+        top = float(np.sum(np.linalg.svd(u, compute_uv=False)[:k] ** 2))
+        captured = float(np.linalg.norm(f.T @ u) ** 2)
+        assert abs(captured - top) <= 1e-12 * norm_sq
 
 
 def test_hosvd_init_rejects_bad_ranks():
@@ -260,6 +306,28 @@ def test_zero_tensor_solves_cleanly():
     assert res.critical_point_residual == 0.0
 
 
+def test_stop_reason_names_why_the_sweeps_ended():
+    rng = np.random.default_rng(96)
+    t = random_tensor(rng, (6, 6, 6))
+    capped = bsta_solve(t, BstaOptions(target_ranks=(2, 2, 2), max_sweeps=1, rel_tol=1e-30))
+    assert capped.stop_reason == "max_sweeps"
+    assert capped.sweeps == 1 and not capped.converged
+
+    exact = bsta_solve(tucker_tensor(rng, (7, 8, 6), (2, 3, 2)), BstaOptions(target_ranks=(2, 3, 2)))
+    assert exact.stop_reason == "gain" and exact.converged
+
+
+def test_gain_stop_can_still_fail_the_certificate():
+    # The README quickstart: the gain floor ends the sweeps before the
+    # frames pass the certificate at the default crit_tol.
+    t = DenseTensor3(np.random.default_rng(0).standard_normal((7, 8, 6)))
+    res = bsta_solve(t, BstaOptions(target_ranks=(2, 3, 2)))
+    assert res.stop_reason == "gain"
+    assert res.sweeps < 200
+    assert res.critical_point_residual > 1e-6
+    assert not res.converged
+
+
 def test_solver_validates_ranks_against_dims():
     t = DenseTensor3(np.zeros((3, 3, 3)))
     with pytest.raises(ValueError):
@@ -310,6 +378,51 @@ def test_random_triples_fail_certificate():
         assert not ok and resid > 1e-3
 
 
+def _certificate_with_the_full_gram(t, s):
+    """The certificate as first written, forming G = M M^T (m x m) per mode."""
+    subs = (s.x, s.y, s.z)
+    worst = 0.0
+    for j in range(3):
+        m = projected_operator(t, j + 1, *(subs[k] for k in range(3) if k != j))
+        g = m @ m.T
+        f = subs[j].frame
+        gf = g @ f
+        resid = gf - f @ (f.T @ gf)
+        tiny = np.finfo(np.float64).tiny
+        worst = max(worst, float(np.linalg.norm(resid) / max(np.linalg.norm(g), tiny)))
+    return worst
+
+
+@settings(max_examples=60, deadline=None)
+@given(tensor_and_ranks(), st.integers(0, 2**32 - 1))
+@example(_case((40, 2, 3), (3, 1, 2)), 1)
+@example(_case((30, 5, 1), (4, 2, 1)), 2)
+@example(_case((1, 4, 4), (1, 2, 3)), 3)
+@example(_case((3, 4, 2), (3, 4, 2)), 4)
+def test_certificate_matches_the_full_gram_formula(case, seed):
+    # The first two examples have tall projected operators (40 x 2 and
+    # 30 x 2).  The absolute tolerance covers modes whose frame fills its
+    # space, where both residuals are roundoff.
+    t, ranks = case
+    s = random_triple(t.dims, ranks, seed=seed)
+    resid, _ = verify_critical_point(t, s)
+    assert_allclose(resid, _certificate_with_the_full_gram(t, s), rtol=1e-10, atol=1e-13)
+
+
+def test_certificate_memory_is_linear_in_a_tall_dimension():
+    # G = M M^T of the 3000 x 4 mode-1 operator would take 72 MB.
+    rng = np.random.default_rng(95)
+    t = random_tensor(rng, (3000, 4, 4))
+    s = random_triple(t.dims, (2, 2, 2), seed=0)
+    tracemalloc.start()
+    try:
+        verify_critical_point(t, s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 def test_certificate_of_zero_tensor_is_zero():
     t = DenseTensor3(np.zeros((3, 3, 3)))
     s = random_triple((3, 3, 3), (1, 2, 1), seed=1)
@@ -319,16 +432,6 @@ def test_certificate_of_zero_tensor_is_zero():
 
 # ---------------------------------------------------------------------------
 # the shared Tucker result
-
-@st.composite
-def tensor_and_ranks(draw):
-    dims = tuple(draw(st.integers(1, 5)) for _ in range(3))
-    ranks = tuple(draw(st.integers(1, m)) for m in dims)
-    seed = draw(st.integers(0, 2**32 - 1))
-    zero = draw(st.booleans())
-    data = np.zeros(dims) if zero else np.random.default_rng(seed).standard_normal(dims)
-    return DenseTensor3(data), ranks
-
 
 @settings(max_examples=40, deadline=None)
 @given(tensor_and_ranks())

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -174,13 +175,18 @@ def test_bsta_command_end_to_end(tmp_path, capsys):
     assert rep["command"] == "bsta"
     assert rep["target_ranks"] == "2x3x2"
     assert rep["converged"] == "true"
+    keys = list(rep)
+    assert keys[keys.index("sweeps") + 1] == "stop_reason"
+    assert rep["stop_reason"] == "gain"
     assert float(rep["error_rel"]) <= 1e-8
     assert float(rep["critical_point_residual"]) <= 1e-6
     # persisted report matches stdout, and never contains timing
     persisted = open(prefix + ".report.txt").read()
     assert persisted == out
     assert "wall" not in persisted
-    assert os.path.exists(prefix + ".report.json")
+    with open(prefix + ".report.json") as fh:
+        loaded = json.load(fh)
+    assert list(loaded.items()) == list(rep.items())
 
     x = read_matrix_file(prefix + ".x.mat")
     y = read_matrix_file(prefix + ".y.mat")
@@ -204,6 +210,19 @@ def test_bsta_full_ranks_error_is_zero(tmp_path, capsys):
     rep = report_dict(out)
     assert float(rep["error_rel"]) <= 1e-12
     assert rep["sweeps"] == "1"
+
+
+def test_bsta_reports_a_max_sweeps_stop(tmp_path, capsys):
+    rng = np.random.default_rng(126)
+    f = str(tmp_path / "t.t3")
+    write_tensor_file(f, random_tensor(rng, (6, 6, 6)))
+    args = ["bsta", f, "2", "2", "2", str(tmp_path / "o"), "--max-sweeps", "1", "--rel-tol", "1e-30"]
+    rc, out, _ = run_cli(capsys, args)
+    assert rc == 0
+    rep = report_dict(out)
+    assert rep["sweeps"] == "1"
+    assert rep["stop_reason"] == "max_sweeps"
+    assert rep["converged"] == "false"
 
 
 def test_bsta_single_slice_matches_svd(tmp_path, capsys):
