@@ -6,11 +6,15 @@
     tapprox flrta FILE P Q R OUT_PREFIX [options]
     tapprox bench FILE P,Q,R [P,Q,R ...] [options]
 
-Tensor files are plain text: optional '#' comment lines, a header
-``t3 m1 m2 m3``, then ``m1*m2*m3`` whitespace-separated reals in
-lexicographic order (third index fastest).  Matrices use the same layout
-with a ``m2 rows cols`` header.  Values are written with 17 significant
-digits, so write/read round-trips are bit-exact.
+Tensor files are plain text: a header ``t3 m1 m2 m3``, then ``m1*m2*m3``
+whitespace-separated reals in lexicographic order (third index fastest),
+split across lines in any way.  '#' comment lines and blank lines may
+appear anywhere.  Matrices use the same layout with a ``m2 rows cols``
+header.  The writers put one mode-3 fiber (or matrix row) on each line,
+write each line of a multi-line comment with its own '#', and use 17
+significant digits, so write/read round-trips are bit-exact.  A bad file
+fails with one ValueError line that names the file, the line number and
+the first bad token.
 
 All reports are deterministic given flags, seeds and input files;
 measured wall time is printed to stderr only, never into a report.
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -87,10 +92,33 @@ class RunReport:
 # ---------------------------------------------------------------------------
 # tensor / matrix files
 
+def _checked_row(path: str, lineno: int, tokens, filled: int, expected: int) -> list[float]:
+    """Parse one data line token by token and raise at its first bad token.
+
+    ``_read_numeric_file`` converts a whole line at once and falls back to
+    this scan only for a line it rejects, so each diagnostic names the
+    first offending token in file order.
+    """
+    row: list[float] = []
+    for tok in tokens:
+        try:
+            val = float(tok)
+        except ValueError:
+            raise ValueError(
+                f"{path}: line {lineno}: could not parse {tok!r} as a real number"
+            ) from None
+        if not math.isfinite(val):
+            raise ValueError(f"{path}: line {lineno}: non-finite value {tok!r}")
+        if filled + len(row) >= expected:
+            raise ValueError(f"{path}: line {lineno}: more than {expected} values")
+        row.append(val)
+    return row
+
+
 def _read_numeric_file(path: str, magic: str, ndims: int):
     dims: tuple[int, ...] | None = None
-    expected = 0
-    values: list[float] = []
+    expected = filled = 0
+    values = np.empty(0)
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -114,27 +142,28 @@ def _read_numeric_file(path: str, magic: str, ndims: int):
                     raise ValueError(
                         f"{path}: line {lineno}: dimensions must be positive, got {dims}"
                     )
-                expected = int(np.prod(dims))
-                continue
-            for tok in tokens:
+                expected = math.prod(dims)
                 try:
-                    val = float(tok)
-                except ValueError:
+                    values = np.empty(expected)
+                except (MemoryError, ValueError):
                     raise ValueError(
-                        f"{path}: line {lineno}: could not parse {tok!r} as a real number"
+                        f"{path}: line {lineno}: {expected} values do not fit in memory"
                     ) from None
-                if not np.isfinite(val):
-                    raise ValueError(f"{path}: line {lineno}: non-finite value {tok!r}")
-                if len(values) >= expected:
-                    raise ValueError(
-                        f"{path}: line {lineno}: more than {expected} values"
-                    )
-                values.append(val)
+                continue
+            try:
+                row = list(map(float, tokens))
+            except ValueError:
+                row = None
+            end = filled + len(tokens)
+            if row is None or end > expected or not all(map(math.isfinite, row)):
+                row = _checked_row(path, lineno, tokens, filled, expected)
+            values[filled:end] = row
+            filled = end
     if dims is None:
         raise ValueError(f"{path}: missing '{magic}' header line")
-    if len(values) != expected:
-        raise ValueError(f"{path}: expected {expected} values, found {len(values)}")
-    return dims, np.array(values, dtype=np.float64)
+    if filled != expected:
+        raise ValueError(f"{path}: expected {expected} values, found {filled}")
+    return dims, values
 
 
 def read_tensor_file(path: str) -> DenseTensor3:
@@ -143,12 +172,16 @@ def read_tensor_file(path: str) -> DenseTensor3:
     return DenseTensor3.from_flat(values, dims)
 
 
-def _write_numeric_file(path: str, header: str, rows, comments) -> None:
-    lines = [f"# {c}" for c in comments]
-    lines.append(header)
-    lines.extend(" ".join(_fmt_float(v) for v in row) for row in rows)
+def _write_numeric_file(path: str, header: str, rows: np.ndarray, comments) -> None:
+    # One format string per row, filled from one row at a time: converting
+    # the whole array to Python floats at once would multiply peak memory.
+    row_format = " ".join(["%.17g"] * rows.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for comment in comments:
+            for line in str(comment).splitlines() or [""]:
+                fh.write(f"# {line}\n")
+        fh.write(header + "\n")
+        fh.writelines(row_format % tuple(row.tolist()) for row in rows)
 
 
 def write_tensor_file(path: str, t: DenseTensor3, comments=()) -> None:

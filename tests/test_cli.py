@@ -2,9 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 import tapprox
@@ -76,13 +81,113 @@ def test_tensor_file_accepts_comments_and_free_layout(tmp_path):
         ("t3 2 2 2\n1 2 3 4 5 6 7 8 9\n", "more than 8"),
         ("t3 2 2 2\n1 2 3\n", "expected 8 values, found 3"),
         ("# only a comment\n", "missing"),
+        # the first offending token in file order names the error
+        ("t3 2 2 2\n1 nan three 4 5 6 7 8\n", "line 2: non-finite value 'nan'"),
+        ("t3 2 2 2\n1 2 3 4 5 6 7 8 9 x\n", "line 2: more than 8 values"),
+        ("t3 2 2 2\n1 2 3 1e999 5 6 7 8\n", "line 2: non-finite value '1e999'"),
+        # the count is first exceeded on line 3
+        ("t3 2 2 2\n1 2 3 4 5\n6 7 8 9 10\n", "line 3: more than 8 values"),
+        # comment and blank lines count as lines
+        ("t3 2 2 2\n1 2 3\n# note\n\n4 x 6 7 8\n", "line 5: could not parse 'x' as a real number"),
+        ("t3 2 2 2\r\n1 2 3 4\r\n5 six 7 8\r\n", "line 3: could not parse 'six' as a real number"),
+        ("t3 2 2 2\n1 2 3 4 5 6 7\n", "expected 8 values, found 7"),
+        ("t3 2 2 2\n1\n2 3 4 5 6\n7 inf\n", "line 4: non-finite value 'inf'"),
     ],
 )
 def test_tensor_file_parse_errors(tmp_path, content, fragment):
     path = tmp_path / "bad.t3"
-    path.write_text(content, encoding="utf-8")
+    path.write_bytes(content.encode("utf-8"))
     with pytest.raises(ValueError, match=fragment):
         read_tensor_file(str(path))
+
+
+@pytest.mark.parametrize("n", [300_000, 10_000_000])
+def test_header_beyond_memory_is_a_one_line_error(tmp_path, capsys, n):
+    # n**3 float64 values need more than a 57-bit address space (the first n)
+    # or than numpy can index (the second), so the allocation fails at once.
+    path = tmp_path / "huge.t3"
+    path.write_text(f"t3 {n} {n} {n}\n1 2 3\n", encoding="utf-8")
+    rc, out, err = run_cli(capsys, ["info", str(path)])
+    assert rc == 1 and out == ""
+    assert err == f"error: {path}: line 1: {n**3} values do not fit in memory\n"
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        "t3 2 2 2\n1 2 3 4 5 6 7 8\n",
+        "t3 2 2 2\n1\n2 3 4 5 6\n7 8\n",
+        "t3 2 2 2\r\n1 2 3 4\r\n5 6 7 8\r\n",
+        "t3 2 2 2\n1 2\n\n# between\n3 4 5\n  # indented\n6 7 8",
+    ],
+)
+def test_tensor_file_accepts_any_line_layout(tmp_path, content):
+    path = tmp_path / "t.t3"
+    path.write_bytes(content.encode("utf-8"))
+    assert np.array_equal(read_tensor_file(str(path)).data.ravel(), np.arange(1.0, 9.0))
+
+
+def test_multi_line_comments_round_trip(tmp_path):
+    comments = ["run 1\nnoise 0.1", "single", "crlf\r\nline", ""]
+    rng = np.random.default_rng(128)
+    t = random_tensor(rng, (2, 3, 2))
+    m = rng.standard_normal((3, 2))
+    tensor_path, matrix_path = tmp_path / "t.t3", tmp_path / "m.mat"
+    write_tensor_file(str(tensor_path), t, comments=comments)
+    write_matrix_file(str(matrix_path), m, comments=comments)
+    assert np.array_equal(read_tensor_file(str(tensor_path)).data, t.data)
+    assert np.array_equal(read_matrix_file(str(matrix_path)), m)
+    for path in (tensor_path, matrix_path):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[:6] == ["# run 1", "# noise 0.1", "# single", "# crlf", "# line", "# "]
+
+
+_EDGE_VALUES = [
+    -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310,
+    2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+    0.1, -1.0 / 3.0,
+]
+
+
+@st.composite
+def _finite_tensors(draw):
+    dims = draw(st.tuples(*[st.integers(1, 4)] * 3))
+    values = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_VALUES)
+    return DenseTensor3(draw(arrays(np.float64, dims, elements=values)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_finite_tensors())
+@example(DenseTensor3(np.full((1, 1, 1), -0.0)))
+@example(DenseTensor3(np.array(_EDGE_VALUES[:9]).reshape(1, 3, 3)))
+@example(DenseTensor3(np.resize(_EDGE_VALUES, (1, 4, 4))))
+def test_file_round_trip_is_bit_exact_and_pins_the_written_digits(tmp_path_factory, t):
+    d = tmp_path_factory.mktemp("rt")
+    m1, m2, m3 = t.dims
+    rows = t.data.reshape(m1 * m2, m3)
+    write_tensor_file(str(d / "t.t3"), t)
+    write_matrix_file(str(d / "m.mat"), rows)
+    back_t = read_tensor_file(str(d / "t.t3"))
+    back_m = read_matrix_file(str(d / "m.mat"))
+    assert back_t.dims == t.dims
+    assert back_t.data.tobytes() == t.data.tobytes()
+    assert back_m.tobytes() == np.ascontiguousarray(rows).tobytes()
+    expected = [" ".join(f"{v:.17g}" for v in row) for row in rows]
+    for name, header in (("t.t3", f"t3 {m1} {m2} {m3}"), ("m.mat", f"m2 {m1 * m2} {m3}")):
+        assert (d / name).read_text(encoding="utf-8").splitlines() == [header] + expected
+
+
+def test_reader_memory_is_linear_in_the_values(tmp_path):
+    t = random_tensor(np.random.default_rng(129), (60, 60, 60))
+    path = str(tmp_path / "t.t3")
+    write_tensor_file(path, t)
+    tracemalloc.start()
+    try:
+        read_tensor_file(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * t.data.nbytes
 
 
 def test_matrix_file_round_trip(tmp_path):
@@ -102,7 +207,7 @@ def test_gen_is_deterministic_and_reports(tmp_path, capsys):
     rc2, out2, _ = run_cli(capsys, ["gen", f2, "--dims", "5,4,3", "--mlrank", "2,2,2", "--seed", "7"])
     assert rc1 == rc2 == 0
     assert out1 == out2
-    assert open(f1).read() == open(f2).read()
+    assert Path(f1).read_text(encoding="utf-8") == Path(f2).read_text(encoding="utf-8")
     rep = report_dict(out1)
     assert rep["command"] == "gen"
     assert rep["dims"] == "5x4x3"
@@ -181,7 +286,7 @@ def test_bsta_command_end_to_end(tmp_path, capsys):
     assert float(rep["error_rel"]) <= 1e-8
     assert float(rep["critical_point_residual"]) <= 1e-6
     # persisted report matches stdout, and never contains timing
-    persisted = open(prefix + ".report.txt").read()
+    persisted = Path(prefix + ".report.txt").read_text(encoding="utf-8")
     assert persisted == out
     assert "wall" not in persisted
     with open(prefix + ".report.json") as fh:
@@ -262,7 +367,7 @@ def test_flrta_command_end_to_end(tmp_path, capsys):
     assert rep["command"] == "flrta"
     assert rep["degenerate"] == "false"
     assert float(rep["error_rel"]) <= 1e-7
-    assert open(prefix + ".report.txt").read() == out
+    assert Path(prefix + ".report.txt").read_text(encoding="utf-8") == out
 
     c1 = read_matrix_file(prefix + ".c1.mat")
     c2 = read_matrix_file(prefix + ".c2.mat")
@@ -310,9 +415,9 @@ def test_flrta_is_deterministic(tmp_path, capsys):
     rc2, out2, _ = run_cli(capsys, ["flrta", f, "2", "2", "2", str(tmp_path / "b"), "--seed", "9"])
     assert rc1 == rc2 == 0
     assert out1 == out2
-    assert open(str(tmp_path / "a") + ".report.txt").read() == open(
-        str(tmp_path / "b") + ".report.txt"
-    ).read()
+    assert (tmp_path / "a.report.txt").read_text(encoding="utf-8") == (
+        tmp_path / "b.report.txt"
+    ).read_text(encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +486,10 @@ def test_env_seed_is_used_and_flag_wins(tmp_path, capsys, monkeypatch):
     run_cli(capsys, ["gen", fb] + args + ["--seed", "555"])
     run_cli(capsys, ["gen", fc] + args)  # default seed
     run_cli(capsys, ["gen", fd] + args + ["--seed", str(DEFAULT_SEED)])
-    assert open(fa).read() == open(fb).read()
-    assert open(fc).read() == open(fd).read()
-    assert open(fa).read() != open(fc).read()
+    text = {f: Path(f).read_text(encoding="utf-8") for f in (fa, fb, fc, fd)}
+    assert text[fa] == text[fb]
+    assert text[fc] == text[fd]
+    assert text[fa] != text[fc]
 
 
 def test_invalid_env_seed_is_an_error(tmp_path, capsys, monkeypatch):
