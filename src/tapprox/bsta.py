@@ -31,6 +31,7 @@ from .tensor_core import (
     TuckerFactorization,
     _check_mode,
     _check_ranks,
+    fold,
     hs_norm,
     unfold,
 )
@@ -129,6 +130,16 @@ def projected_operator(t: DenseTensor3, mode: int, a: Subspace, b: Subspace) -> 
     product of ``t`` with ``e_i`` in mode ``mode`` and the frames'
     columns in the other modes; columns are ordered lexicographically
     with the higher mode fastest, matching :func:`~.tensor_core.unfold`.
+
+    Every column of the result is a combination of the columns of the
+    mode-``mode`` unfolding of ``t``, which is what lets :func:`bsta_solve`
+    sweep on a compressed tensor when that mode is long.
+
+    The operator is two matrix products on reshapes of the C-ordered
+    data.  The first reads the tensor with ``a``'s transposed frame on
+    the left: ``a^T @ data`` slice by slice for mode 1, and
+    ``a^T @ data.reshape(m1, m2*m3)`` for modes 2 and 3.  The second
+    contracts ``b`` on that ``k_a``-times smaller result.
     """
     ax = _check_mode(mode)
     rest = [k for k in range(3) if k != ax]
@@ -138,8 +149,15 @@ def projected_operator(t: DenseTensor3, mode: int, a: Subspace, b: Subspace) -> 
         raise ValueError(
             f"ambient dims {got} do not match the non-mode-{mode} tensor dims {expected}"
         )
-    eq = {1: "ijk,jb,kc->ibc", 2: "ijk,ia,kc->jac", 3: "ijk,ia,jb->kab"}[mode]
-    out = np.einsum(eq, t.data, a.frame, b.frame, optimize=True)
+    m1, m2, m3 = t.dims
+    if mode == 1:
+        out = (a.frame.T @ t.data).reshape(-1, m3) @ b.frame  # (m1 * ka, kb)
+    else:
+        w = (a.frame.T @ t.data.reshape(m1, -1)).reshape(-1, m2, m3)  # (ka, m2, m3)
+        if mode == 2:
+            out = (w.reshape(-1, m3) @ b.frame).reshape(-1, m2, b.dim).transpose(1, 0, 2)
+        else:
+            out = (b.frame.T @ w).transpose(2, 0, 1)  # (m3, ka, kb)
     return out.reshape(t.dims[ax], -1)
 
 
@@ -299,6 +317,28 @@ def verify_critical_point(
     return worst, worst <= tol
 
 
+def _long_mode(dims, ranks) -> int | None:
+    """Index of the one mode worth compressing, or ``None``.
+
+    A mode qualifies when it is longer than the product of the other two
+    dims (so at most one mode can) and its rank is at most the product of
+    the other two ranks.  A larger rank exceeds the column count of the
+    mode's projected operator, so part of its frame is standard-basis
+    padding, which would differ between the full and the compressed space.
+    """
+    for j in range(3):
+        a, b = (k for k in range(3) if k != j)
+        if dims[j] > dims[a] * dims[b] and ranks[j] <= ranks[a] * ranks[b]:
+            return j
+    return None
+
+
+def _with_frame(s: SubspaceTriple, j: int, frame: np.ndarray) -> SubspaceTriple:
+    subs = [s.x, s.y, s.z]
+    subs[j] = Subspace(frame)
+    return SubspaceTriple(*subs)
+
+
 def bsta_solve(t: DenseTensor3, opts: BstaOptions) -> BstaResult:
     """Alternating relaxation for the best subspace approximation.
 
@@ -306,21 +346,51 @@ def bsta_solve(t: DenseTensor3, opts: BstaOptions) -> BstaResult:
     until the objective gain of a full sweep falls below
     ``rel_tol * |t|^2`` or ``max_sweeps`` is exhausted, then certifies
     the final triple with :func:`verify_critical_point`.
+
+    When one mode is longer than the product of the other two dims
+    (``m_j > m_p * m_q``, and ``k_j <= k_p * k_q``), the sweeps run on the
+    compressed tensor ``t x_j Q^T``, where ``Q`` is an orthonormal basis
+    of the column space of the mode-``j`` unfolding (its thin SVD): a
+    core with ``m_p * m_q`` rows in mode ``j`` instead of ``m_j``.  This
+    is exact, because every projected operator of mode ``j`` has its
+    columns in the range of that unfolding, so its dominant left
+    subspace is ``Q`` times the compressed operator's, and the operators
+    of the other two modes do not change.  The objective history is that
+    of the sweeps on ``t`` up to rounding.  A random start is drawn in
+    the full dims; its first sweep runs on ``t``, since its mode-``j``
+    frame need not lie in the range of ``Q`` before that sweep.  The
+    frames are mapped back as ``Q F``, and the certificate, the Tucker
+    core and the error are computed on the full tensor.
     """
+    ranks = _check_ranks(t.dims, opts.target_ranks)
+    j = _long_mode(t.dims, ranks)
+    work = t
+    if j is not None:
+        q, sv, vh = np.linalg.svd(unfold(t, j + 1), full_matrices=False)
+        core_dims = tuple(q.shape[1] if k == j else m for k, m in enumerate(t.dims))
+        work = fold(sv[:, None] * vh, j + 1, core_dims)
+
     if opts.init == "hosvd":
-        s = hosvd_init(t, opts.target_ranks)
+        s = hosvd_init(work, ranks)
+        obj = hs_norm(coefficient_tensor(work, s)) ** 2
+        sweep_on = work
     else:
-        s = random_triple(t.dims, opts.target_ranks, opts.seed)
+        s = random_triple(t.dims, ranks, opts.seed)
+        obj = hs_norm(coefficient_tensor(t, s)) ** 2
+        sweep_on = t
 
     norm_sq = hs_norm(t) ** 2
     gain_floor = opts.rel_tol * max(norm_sq, _TINY)
-    obj = hs_norm(coefficient_tensor(t, s)) ** 2
 
     history: list[float] = []
     sweeps = 0
     stop_reason = "max_sweeps"
     for _ in range(opts.max_sweeps):
-        s, fs = relaxation_sweep(t, s)
+        s, fs = relaxation_sweep(sweep_on, s)
+        if sweep_on is not work:
+            # After a sweep on t, the mode-j frame lies in the range of q.
+            s = _with_frame(s, j, np.linalg.qr(q.T @ (s.x, s.y, s.z)[j].frame)[0])
+            sweep_on = work
         sweeps += 1
         history.extend(fs)
         gain = fs[2] - obj
@@ -329,6 +399,8 @@ def bsta_solve(t: DenseTensor3, opts: BstaOptions) -> BstaResult:
             stop_reason = "gain"
             break
 
+    if j is not None:
+        s = _with_frame(s, j, q @ (s.x, s.y, s.z)[j].frame)
     residual, certified = verify_critical_point(t, s, opts.crit_tol)
     tucker = TuckerFactorization(
         coefficient_tensor(t, s), (s.x.frame.T, s.y.frame.T, s.z.frame.T)

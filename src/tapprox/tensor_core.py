@@ -8,6 +8,7 @@ indices in code are 0-based like the rest of Python.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -52,10 +53,10 @@ class DenseTensor3:
         dims = tuple(int(d) for d in dims)
         if len(dims) != 3:
             raise ValueError(f"expected three dimensions, got {dims}")
-        flat = np.asarray(values, dtype=np.float64).ravel()
-        expected = int(np.prod(dims))
         if min(dims) < 1:
             raise ValueError(f"tensor dimensions must be positive, got {dims}")
+        flat = np.asarray(values, dtype=np.float64).ravel()
+        expected = math.prod(dims)
         if flat.size != expected:
             raise ValueError(
                 f"expected {expected} values for dims {dims}, got {flat.size}"

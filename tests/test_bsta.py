@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import tapprox.bsta
 from tapprox import (
     BstaOptions,
     DenseTensor3,
@@ -55,6 +56,10 @@ def tensor_and_ranks(draw):
     return DenseTensor3(data), ranks
 
 
+def _case(dims, ranks, seed=0):
+    return DenseTensor3(np.random.default_rng(seed).standard_normal(dims)), ranks
+
+
 # ---------------------------------------------------------------------------
 # projected_operator
 
@@ -97,6 +102,23 @@ def test_projected_operator_on_rank_one_tensor():
     assert_allclose(m, 5.0 * u[:, None], rtol=1e-14)
 
 
+@settings(max_examples=60, deadline=None)
+@given(tensor_and_ranks(), st.integers(0, 2**32 - 1))
+@example(_case((40, 2, 3), (3, 2, 2)), 1)
+@example(_case((1, 4, 4), (1, 2, 3)), 2)
+def test_projected_operator_matches_the_einsum_contraction(case, seed):
+    # The contraction as first written; the matrix products sum in another
+    # order, so agreement is to rounding.
+    t, ranks = case
+    s = random_triple(t.dims, ranks, seed=seed)
+    subs = (s.x, s.y, s.z)
+    for mode, eq in ((1, "ijk,jb,kc->ibc"), (2, "ijk,ia,kc->jac"), (3, "ijk,ia,jb->kab")):
+        a, b = (subs[k] for k in range(3) if k != mode - 1)
+        expected = np.einsum(eq, t.data, a.frame, b.frame).reshape(t.dims[mode - 1], -1)
+        got = projected_operator(t, mode, a, b)
+        assert_allclose(got, expected, rtol=1e-12, atol=1e-14 * hs_norm(t))
+
+
 def test_projected_operator_checks_ambient_dims():
     t = DenseTensor3(np.zeros((3, 4, 5)))
     a = Subspace(np.eye(4)[:, :1])
@@ -119,10 +141,6 @@ def test_hosvd_init_recovers_an_exact_product():
             s = hosvd_init(t, ranks)
             gap = np.linalg.norm(t.data - project(t, s).data)
             assert gap <= 1e-10 * hs_norm(t), (seed, dims)
-
-
-def _case(dims, ranks, seed=0):
-    return DenseTensor3(np.random.default_rng(seed).standard_normal(dims)), ranks
 
 
 @settings(max_examples=60, deadline=None)
@@ -326,6 +344,94 @@ def test_gain_stop_can_still_fail_the_certificate():
     assert res.sweeps < 200
     assert res.critical_point_residual > 1e-6
     assert not res.converged
+
+
+@st.composite
+def long_mode_case(draw):
+    """A tensor with one mode longer than the product of the other two, in any position."""
+    short = [draw(st.integers(1, 3)) for _ in range(2)]
+    j = draw(st.integers(0, 2))
+    dims = tuple(short[:j] + [draw(st.integers(short[0] * short[1] + 1, 40))] + short[j:])
+    ranks = tuple(draw(st.integers(1, min(m, 10))) for m in dims)
+    seed = draw(st.integers(0, 2**32 - 1))
+    zero = draw(st.booleans())
+    data = np.zeros(dims) if zero else np.random.default_rng(seed).standard_normal(dims)
+    return DenseTensor3(data), ranks, draw(st.sampled_from(("hosvd", "random")))
+
+
+def _long(dims, ranks, init="hosvd", zero=False):
+    data = np.zeros(dims) if zero else np.random.default_rng(3).standard_normal(dims)
+    return DenseTensor3(data), ranks, init
+
+
+@settings(max_examples=60, deadline=None)
+@given(long_mode_case())
+@example(_long((30, 2, 3), (6, 2, 3)))  # ranks equal to the short dims
+@example(_long((3, 40, 2), (3, 4, 2)))
+@example(_long((2, 3, 25), (2, 3, 6), init="random"))
+@example(_long((3, 40, 2), (2, 5, 2), init="random"))
+@example(_long((2, 1, 1), (2, 1, 1)))  # rank above the product of the other dims
+@example(_long((30, 2, 3), (5, 1, 1)))  # rank above the product of the other ranks
+@example(_long((2, 3, 25), (2, 2, 3), zero=True))
+def test_compressed_sweeps_match_the_sweeps_on_the_full_tensor(case):
+    t, ranks, init = case
+    res = bsta_solve(t, BstaOptions(target_ranks=ranks, init=init, seed=7, max_sweeps=20))
+    s = hosvd_init(t, ranks) if init == "hosvd" else random_triple(t.dims, ranks, seed=7)
+    history = []
+    for _ in range(res.sweeps):
+        s, fs = relaxation_sweep(t, s)
+        history.extend(fs)
+    norm_sq = hs_norm(t) ** 2
+    assert_allclose(res.objective_history, history, rtol=0, atol=1e-12 * norm_sq)
+    got = (res.subspaces.x, res.subspaces.y, res.subspaces.z)
+    for sub, ref, k in zip(got, (s.x, s.y, s.z), ranks):
+        assert np.max(np.abs(sub.frame.T @ sub.frame - np.eye(k))) <= 1e-10
+        # Every triple is optimal for the zero tensor, so only a nonzero
+        # one pins the subspaces down.
+        if norm_sq > 0:
+            assert same_subspace(sub, ref, tol=1e-8)
+
+
+def test_sweeps_run_on_the_compressed_tensor(monkeypatch):
+    seen = []
+    sweep = tapprox.bsta.relaxation_sweep
+
+    def spy(t, s):
+        seen.append(t.dims)
+        return sweep(t, s)
+
+    monkeypatch.setattr(tapprox.bsta, "relaxation_sweep", spy)
+    rng = np.random.default_rng(98)
+    cases = (
+        ((30, 3, 3), (3, 2, 2), "hosvd", [(9, 3, 3)] * 3),
+        ((3, 40, 3), (2, 3, 2), "hosvd", [(3, 9, 3)] * 3),
+        ((3, 3, 25), (2, 2, 3), "hosvd", [(3, 3, 9)] * 3),
+        # A random start's first sweep runs on the full tensor.
+        ((3, 3, 25), (2, 2, 3), "random", [(3, 3, 25)] + [(3, 3, 9)] * 2),
+        # No qualifying mode: too short, or a rank above k_p * k_q.
+        ((6, 6, 6), (2, 2, 2), "hosvd", [(6, 6, 6)] * 3),
+        ((30, 3, 3), (5, 1, 2), "hosvd", [(30, 3, 3)] * 3),
+    )
+    for dims, ranks, init, expected in cases:
+        seen.clear()
+        opts = BstaOptions(target_ranks=ranks, init=init, max_sweeps=3, rel_tol=1e-30)
+        res = bsta_solve(random_tensor(rng, dims), opts)
+        assert seen == expected, (dims, ranks, init)
+        assert res.subspaces.ambient_dims == dims
+
+
+def test_long_mode_solve_builds_no_square_array():
+    # Q Q^T, or a full SVD of the 6000 x 64 mode-1 unfolding, would take
+    # 288 MB; the tensor itself takes 3 MB.
+    rng = np.random.default_rng(99)
+    t = random_tensor(rng, (6000, 8, 8))
+    tracemalloc.start()
+    try:
+        bsta_solve(t, BstaOptions(target_ranks=(4, 4, 4), max_sweeps=5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_solver_validates_ranks_against_dims():

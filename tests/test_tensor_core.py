@@ -77,6 +77,10 @@ def test_from_flat_lexicographic_layout():
 def test_from_flat_rejects_wrong_count():
     with pytest.raises(ValueError):
         DenseTensor3.from_flat(np.arange(7.0), (2, 2, 2))
+    # The expected count is exact: a fixed-width product would wrap around.
+    for dims, count in (((10**7,) * 3, 10**21), ((2**32, 2**32, 1), 2**64)):
+        with pytest.raises(ValueError, match=f"expected {count} values"):
+            DenseTensor3.from_flat(np.arange(7.0), dims)
 
 
 # ---------------------------------------------------------------------------
