@@ -7,9 +7,10 @@ Two complementary routes to a low-multilinear-rank picture of a tensor:
 * :mod:`tapprox.flrta` -- fiber sampling: interpolate the tensor from a
   few of its sections, no optimization involved.
 
-Shared storage and multilinear primitives live in
-:mod:`tapprox.tensor_core` and :mod:`tapprox.subspace`; the ``tapprox``
-command wraps everything for files on disk.
+Both return a :class:`TuckerFactorization`.  :mod:`tapprox.tensor_core`
+holds the tensor type, unfoldings, the norm and ranks;
+:mod:`tapprox.subspace` holds frames, projections and distances.  The
+``tapprox`` command wraps everything for files on disk.
 """
 from .bsta import (
     BstaOptions,
@@ -38,16 +39,12 @@ from .subspace import (
     coefficient_tensor,
     distance,
     project,
-    subspace_from_columns,
 )
 from .tensor_core import (
     DenseTensor3,
     TuckerFactorization,
     fold,
-    hs_inner,
     hs_norm,
-    mode_multiply,
-    mode_rank,
     multilinear_rank,
     unfold,
 )
@@ -71,10 +68,7 @@ __all__ = [
     "flrta_approx",
     "fold",
     "hosvd_init",
-    "hs_inner",
     "hs_norm",
-    "mode_multiply",
-    "mode_rank",
     "multilinear_rank",
     "pinv",
     "project",
@@ -84,7 +78,6 @@ __all__ = [
     "sections",
     "select_indices",
     "slice_cross",
-    "subspace_from_columns",
     "unfold",
     "verify_critical_point",
 ]

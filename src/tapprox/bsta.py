@@ -27,9 +27,11 @@ from .subspace import (
     project,
 )
 from .tensor_core import (
+    _TINY,
     DenseTensor3,
     TuckerFactorization,
     _check_mode,
+    _check_norm_range,
     _check_ranks,
     fold,
     hs_norm,
@@ -39,8 +41,6 @@ from .tensor_core import (
 DEFAULT_MAX_SWEEPS = 200
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_CRIT_TOL = 1e-6
-
-_TINY = float(np.finfo(np.float64).tiny)
 
 #: Relative spread below which neighbouring singular values are treated
 #: as tied when extracting a dominant frame.
@@ -302,18 +302,26 @@ def verify_critical_point(
     and ``|G|_F`` from the smaller of ``M^T M`` and ``M M^T``, whose
     Frobenius norms are equal.  A tall mode (``M`` of shape ``m x n`` with
     ``m`` much larger than ``n``) thus costs ``n x n`` memory, not ``m x m``.
+
+    Each ``M`` is first scaled by the power of two that brings its largest
+    absolute entry into ``[0.5, 1)``.  So ``G F`` and ``|G|_F`` can neither
+    underflow nor overflow, and the residual does not change with the
+    scale of ``t``; the scaling is exact, so at scales where the unscaled
+    formula is safe it gives the same bits.  A NaN residual (from an
+    operator that overflowed) fails the certificate.
     """
     _check_triple(t, s)
     subs = (s.x, s.y, s.z)
-    worst = 0.0
+    rels = []
     for j in range(3):
         m = projected_operator(t, j + 1, *(subs[k] for k in range(3) if k != j))
+        m = np.ldexp(m, -np.frexp(np.max(np.abs(m)))[1])
         f = subs[j].frame
         gf = m @ (m.T @ f)
         resid = gf - f @ (f.T @ gf)
         small_gram = m.T @ m if m.shape[0] > m.shape[1] else m @ m.T
-        rel = float(np.linalg.norm(resid) / max(np.linalg.norm(small_gram), _TINY))
-        worst = max(worst, rel)
+        rels.append(np.linalg.norm(resid) / max(np.linalg.norm(small_gram), _TINY))
+    worst = float(np.max(rels))  # np.max keeps a NaN, and NaN <= tol is False
     return worst, worst <= tol
 
 
@@ -363,6 +371,8 @@ def bsta_solve(t: DenseTensor3, opts: BstaOptions) -> BstaResult:
     core and the error are computed on the full tensor.
     """
     ranks = _check_ranks(t.dims, opts.target_ranks)
+    norm = hs_norm(t)
+    _check_norm_range(t, norm)
     j = _long_mode(t.dims, ranks)
     work = t
     if j is not None:
@@ -379,8 +389,7 @@ def bsta_solve(t: DenseTensor3, opts: BstaOptions) -> BstaResult:
         obj = hs_norm(coefficient_tensor(t, s)) ** 2
         sweep_on = t
 
-    norm_sq = hs_norm(t) ** 2
-    gain_floor = opts.rel_tol * max(norm_sq, _TINY)
+    gain_floor = opts.rel_tol * max(norm**2, _TINY)
 
     history: list[float] = []
     sweeps = 0

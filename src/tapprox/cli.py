@@ -36,6 +36,7 @@ from .flrta import DEFAULT_TRIALS, SelectionError, flrta_approx, select_indices
 from .tensor_core import (
     DenseTensor3,
     TuckerFactorization,
+    _check_norm_range,
     _check_ranks,
     as_matrix,
     hs_norm,
@@ -331,6 +332,7 @@ def _solve_bsta(t, norm, ranks, seed, args) -> Solution:
 
 
 def _solve_flrta(t, norm, sizes, seed, args) -> Solution:
+    _check_norm_range(t, norm)  # bsta_solve applies the same rule itself
     degenerate = False
     try:
         sel = select_indices(t, sizes, trials=args.trials, seed=seed)

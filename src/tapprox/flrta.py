@@ -15,7 +15,7 @@ Index sets are 0-based throughout, like all Python indexing.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +50,6 @@ class SelectionError(RuntimeError):
     def __init__(self, message: str, selection: "IndexSelection") -> None:
         super().__init__(message)
         self.selection = selection
-        self.report = selection.cond_report
 
 
 @dataclass(frozen=True)
@@ -82,19 +81,13 @@ def _check_index_set(values, bound: int, name: str) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class IndexSelection:
-    """Sampling pattern: index sets for the three modes of a fixed-size tensor.
-
-    ``l_set`` is derived once at construction: the positions of the
-    ``I x J`` grid inside the row space of the mode-3-major unfolding
-    (row ``i * dims[1] + j``), in lexicographic order.
-    """
+    """Sampling pattern: index sets for the three modes of a fixed-size tensor."""
 
     dims: tuple[int, int, int]
     i_set: tuple[int, ...]
     j_set: tuple[int, ...]
     k_set: tuple[int, ...]
     cond_report: tuple[TrialConditions, ...] | None = None
-    l_set: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         dims = tuple(int(d) for d in self.dims)
@@ -104,8 +97,6 @@ class IndexSelection:
         object.__setattr__(self, "i_set", _check_index_set(self.i_set, dims[0], "i_set"))
         object.__setattr__(self, "j_set", _check_index_set(self.j_set, dims[1], "j_set"))
         object.__setattr__(self, "k_set", _check_index_set(self.k_set, dims[2], "k_set"))
-        l_set = tuple(i * dims[1] + j for i in self.i_set for j in self.j_set)
-        object.__setattr__(self, "l_set", l_set)
 
     @property
     def sizes(self) -> tuple[int, int, int]:

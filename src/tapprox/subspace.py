@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import DenseTensor3, as_matrix, hs_norm, numerical_rank
+from .tensor_core import DenseTensor3, as_matrix, hs_norm
 
 #: Per-entry tolerance for accepting a frame as orthonormal.
 ORTHO_TOL = 1e-10
@@ -77,22 +77,6 @@ class SubspaceTriple:
     @property
     def dims(self) -> tuple[int, int, int]:
         return (self.x.dim, self.y.dim, self.z.dim)
-
-
-def subspace_from_columns(m) -> Subspace:
-    """Subspace spanned by the columns of ``m`` (orthonormalized via QR).
-
-    The columns must be numerically independent; otherwise the span is
-    ambiguous and a ``ValueError`` is raised.
-    """
-    a = as_matrix(m)
-    rank = numerical_rank(a)
-    if rank < a.shape[1]:
-        raise ValueError(
-            f"columns are rank deficient: numerical rank {rank} < {a.shape[1]}"
-        )
-    q, _ = np.linalg.qr(a)
-    return Subspace(q)
 
 
 def _check_triple(t: DenseTensor3, s: SubspaceTriple) -> None:

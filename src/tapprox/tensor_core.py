@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 _EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
 
 _MODES = (1, 2, 3)
 
@@ -154,16 +155,32 @@ def fold(m, mode: int, dims: Sequence[int]) -> DenseTensor3:
     return DenseTensor3(np.moveaxis(cube, 0, ax))
 
 
-def hs_inner(a: DenseTensor3, b: DenseTensor3) -> float:
-    """Hilbert-Schmidt inner product: the sum of entrywise products."""
-    if a.dims != b.dims:
-        raise ValueError(f"dimension mismatch: {a.dims} vs {b.dims}")
-    return float(np.dot(a.data.ravel(), b.data.ravel()))
-
-
 def hs_norm(t: DenseTensor3) -> float:
-    """Hilbert-Schmidt norm ``sqrt(hs_inner(t, t))``."""
-    return float(np.linalg.norm(t.data.ravel()))
+    """Hilbert-Schmidt norm: the square root of the sum of squared entries.
+
+    The sum is not rescaled: it is ``inf`` when it overflows and ``0`` when
+    every square underflows, which :func:`_check_norm_range` rejects.
+    """
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(t.data.ravel()))
+
+
+def _check_norm_range(t: DenseTensor3, norm: float) -> None:
+    """Reject a nonzero tensor whose squared norm is not a finite normal float.
+
+    ``norm`` is ``hs_norm(t)``.  Both solvers work with squared norms
+    (objectives, gain floors, errors), which underflow or overflow outside
+    this range and would make their answers meaningless.  Only a zero norm
+    looks at the entries again, to tell the zero tensor from an underflow.
+    """
+    sq = norm * norm
+    if _TINY <= sq < math.inf or (sq == 0.0 and not t.data.any()):
+        return
+    raise ValueError(
+        f"hs_norm {norm:.3g} of a nonzero tensor is out of range "
+        f"[{math.sqrt(_TINY):.3g}, {math.sqrt(np.finfo(np.float64).max):.3g}] "
+        "(its square must be a normal float); rescale the input"
+    )
 
 
 def numerical_rank(m, rank_tol: float | None = None) -> int:
@@ -181,37 +198,11 @@ def numerical_rank(m, rank_tol: float | None = None) -> int:
     return int(np.count_nonzero(s > rank_tol * s[0]))
 
 
-def mode_rank(t: DenseTensor3, mode: int, rank_tol: float | None = None) -> int:
-    """Rank of the mode-``mode`` unfolding (numerical rank, see above)."""
-    return numerical_rank(unfold(t, mode), rank_tol)
-
-
 def multilinear_rank(
     t: DenseTensor3, rank_tol: float | None = None
 ) -> tuple[int, int, int]:
-    """The triple of mode ranks ``(rank_1, rank_2, rank_3)``."""
-    return tuple(mode_rank(t, j, rank_tol) for j in _MODES)  # type: ignore[return-value]
-
-
-def mode_multiply(core: DenseTensor3, m, mode: int) -> DenseTensor3:
-    """Contract the ``mode``-th axis of ``core`` with the rows of ``m``.
-
-    The matrix's first index is the contracted one:
-
-        result[..., i, ...] = sum_k core[..., k, ...] * m[k, i]
-
-    so for an ``(a, b)`` matrix the ``mode``-th dimension changes from
-    ``a`` to ``b``.
-    """
-    ax = _check_mode(mode)
-    arr = as_matrix(m)
-    if arr.shape[0] != core.dims[ax]:
-        raise ValueError(
-            f"matrix rows ({arr.shape[0]}) must match mode-{mode} dimension "
-            f"({core.dims[ax]})"
-        )
-    out = np.moveaxis(np.tensordot(core.data, arr, axes=(ax, 0)), -1, ax)
-    return DenseTensor3(out)
+    """Numerical ranks of the three unfoldings ``(rank_1, rank_2, rank_3)``."""
+    return tuple(numerical_rank(unfold(t, j), rank_tol) for j in _MODES)  # type: ignore[return-value]
 
 
 @dataclass(frozen=True, eq=False)

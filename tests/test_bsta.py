@@ -536,6 +536,31 @@ def test_certificate_of_zero_tensor_is_zero():
     assert ok and resid == 0.0
 
 
+@pytest.mark.parametrize("scale", [1e-140, 1e-90, 1e-80, 1e80, 1e90, 1e150])
+def test_certificate_is_scale_invariant(scale):
+    # At unit scale this run stops on the gain floor with a residual of
+    # 6.4e-6, above crit_tol, so a certificate whose norms underflow or
+    # overflow shows as a residual of 0 and converged=True.
+    base = np.random.default_rng(0).standard_normal((6, 5, 4))
+    opts = BstaOptions(target_ranks=(2, 2, 2))
+    unit = bsta_solve(DenseTensor3(base), opts)
+    scaled = bsta_solve(DenseTensor3(scale * base), opts)
+    assert not unit.converged and unit.critical_point_residual > opts.crit_tol
+    assert (scaled.sweeps, scaled.stop_reason, scaled.converged) == (
+        unit.sweeps, unit.stop_reason, unit.converged
+    )
+    assert_allclose(scaled.critical_point_residual, unit.critical_point_residual, rtol=1e-9)
+
+
+def test_certificate_fails_on_an_overflowing_operator():
+    # Each projected operator entry sums to about 2e308, which overflows.
+    t = DenseTensor3(np.full((4, 4, 4), 1e308))
+    frame = Subspace(np.full((4, 1), 0.5))
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid, ok = verify_critical_point(t, SubspaceTriple(frame, frame, frame))
+    assert np.isnan(resid) and not ok
+
+
 # ---------------------------------------------------------------------------
 # the shared Tucker result
 

@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 import tapprox
-from tapprox import DenseTensor3, hs_norm, multilinear_rank
+from tapprox import BstaOptions, DenseTensor3, bsta_solve, hs_norm, multilinear_rank
 from tapprox.cli import (
     DEFAULT_SEED,
     main,
@@ -476,6 +476,33 @@ def test_bench_zero_tensor_runs_with_zero_errors(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # seeds, exit codes, entry point
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160])
+def test_out_of_range_norm_is_a_one_line_error(tmp_path, capsys, scale):
+    # Each scaled tensor's squared norm underflows below the smallest
+    # normal float or overflows.
+    f = str(tmp_path / "t.t3")
+    base = np.random.default_rng(0).standard_normal((6, 5, 4))
+    t = DenseTensor3(scale * base)
+    write_tensor_file(f, t)
+    for argv in (
+        ["bsta", f, "2", "2", "2", str(tmp_path / "o")],
+        ["flrta", f, "2", "2", "2", str(tmp_path / "o")],
+        ["bench", f, "2,2,2"],
+    ):
+        rc, out, err = run_cli(capsys, argv)
+        assert rc == 1 and out == ""
+        assert err.startswith("error: hs_norm ") and err.count("\n") == 1
+        assert err.rstrip().endswith("rescale the input")
+    with pytest.raises(ValueError, match="rescale the input") as exc_info:
+        bsta_solve(t, BstaOptions(target_ranks=(2, 2, 2)))
+    assert "\n" not in str(exc_info.value)
+    # The zero tensor is in range.
+    write_tensor_file(f, DenseTensor3(np.zeros((6, 5, 4))))
+    for method in ("bsta", "flrta"):
+        rc, _, _ = run_cli(capsys, [method, f, "2", "2", "2", str(tmp_path / "z")])
+        assert rc == 0
+
 
 def test_env_seed_is_used_and_flag_wins(tmp_path, capsys, monkeypatch):
     fa, fb, fc, fd = (str(tmp_path / n) for n in ("a.t3", "b.t3", "c.t3", "d.t3"))

@@ -26,18 +26,6 @@ from helpers import random_orthonormal, random_tensor, tucker_tensor
 # ---------------------------------------------------------------------------
 # IndexSelection
 
-def test_l_set_is_the_image_of_the_index_grid():
-    sel = IndexSelection((3, 4, 5), (0, 2), (1, 3), (0,))
-    assert sel.l_set == (1, 3, 9, 11)
-    # Consistency with the mode-3-major unfolding: row i * m2 + j of the
-    # reshaped tensor is exactly fiber (i, j, :).
-    rng = np.random.default_rng(100)
-    t = random_tensor(rng, (3, 4, 5))
-    rows = t.data.reshape(12, 5)[list(sel.l_set)]
-    fibers = t.data[np.ix_(sel.i_set, sel.j_set)].reshape(4, 5)
-    assert np.array_equal(rows, fibers)
-
-
 def test_selection_normalizes_order():
     sel = IndexSelection((4, 4, 4), (3, 0), (2, 1), (1, 0))
     assert sel.i_set == (0, 3)
@@ -275,8 +263,8 @@ def test_select_indices_zero_tensor_raises_with_best_effort():
         select_indices(t, (2, 2, 2), trials=5, seed=0)
     err = exc_info.value
     assert isinstance(err.selection, IndexSelection)
-    assert len(err.report) == 5
-    assert all(not np.isfinite(rec.worst) for rec in err.report)
+    assert len(err.selection.cond_report) == 5
+    assert all(not np.isfinite(rec.worst) for rec in err.selection.cond_report)
     # the best-effort selection is still usable
     fac = flrta_approx(t, err.selection)
     assert np.array_equal(fac.reconstruct().data, t.data)

@@ -10,7 +10,6 @@ from tapprox import (
     distance,
     hs_norm,
     project,
-    subspace_from_columns,
 )
 
 from helpers import random_subspace_triple, random_tensor, same_subspace
@@ -24,7 +23,7 @@ def axis_triple(dims, ranks) -> SubspaceTriple:
 
 
 # ---------------------------------------------------------------------------
-# Subspace / subspace_from_columns
+# Subspace
 
 def test_subspace_accepts_orthonormal_frame():
     s = Subspace(np.eye(4)[:, :2])
@@ -47,32 +46,6 @@ def test_subspace_frame_is_immutable():
     s = Subspace(np.eye(3)[:, :1])
     with pytest.raises(ValueError):
         s.frame[0, 0] = 2.0
-
-
-def test_subspace_from_identity_columns_is_exact():
-    s = subspace_from_columns(np.eye(3))
-    assert np.array_equal(s.frame, np.eye(3))
-
-
-def test_subspace_from_single_column_normalizes():
-    s = subspace_from_columns(np.array([[3.0], [4.0]]))
-    expected = np.array([[0.6], [0.8]])
-    # direction is defined up to sign
-    assert_allclose(np.abs(s.frame), expected, rtol=1e-15)
-
-
-def test_subspace_from_dependent_columns_fails():
-    cols = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
-    with pytest.raises(ValueError, match="rank"):
-        subspace_from_columns(cols)
-
-
-def test_subspace_from_columns_spans_the_input():
-    rng = np.random.default_rng(60)
-    a = rng.standard_normal((6, 3))
-    s = subspace_from_columns(a)
-    # projection onto the frame reproduces the original columns
-    assert_allclose(s.frame @ (s.frame.T @ a), a, rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

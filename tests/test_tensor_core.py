@@ -5,10 +5,7 @@ from numpy.testing import assert_allclose
 from tapprox import (
     DenseTensor3,
     fold,
-    hs_inner,
     hs_norm,
-    mode_multiply,
-    mode_rank,
     multilinear_rank,
     unfold,
 )
@@ -135,35 +132,7 @@ def test_fold_rejects_bad_shape():
 
 
 # ---------------------------------------------------------------------------
-# inner product / norm
-
-def test_hs_inner_of_constant_tensors():
-    ones = DenseTensor3(np.ones((2, 2, 2)))
-    twos = DenseTensor3(2.0 * np.ones((2, 2, 2)))
-    assert hs_inner(ones, twos) == 16.0
-
-
-def test_hs_inner_disjoint_supports_is_zero():
-    a = np.zeros((2, 3, 2))
-    b = np.zeros((2, 3, 2))
-    a[0, 0, 0] = 3.0
-    a[1, 2, 1] = -1.0
-    b[0, 1, 0] = 4.0
-    b[1, 0, 1] = 2.0
-    assert hs_inner(DenseTensor3(a), DenseTensor3(b)) == 0.0
-
-
-def test_hs_inner_is_the_squared_norm_on_the_diagonal():
-    rng = np.random.default_rng(43)
-    for _ in range(5):
-        t = random_tensor(rng, (3, 2, 4))
-        assert_allclose(hs_inner(t, t), hs_norm(t) ** 2, rtol=1e-14)
-
-
-def test_hs_inner_dimension_mismatch():
-    with pytest.raises(ValueError):
-        hs_inner(DenseTensor3(np.zeros((2, 2, 2))), DenseTensor3(np.zeros((2, 2, 3))))
-
+# norm
 
 def test_hs_norm_basics():
     assert hs_norm(DenseTensor3(np.zeros((3, 1, 2)))) == 0.0
@@ -207,60 +176,10 @@ def test_generic_tensor_has_full_mode_ranks():
 def test_mode_rank_bound():
     rng = np.random.default_rng(46)
     t = random_tensor(rng, (2, 3, 7))
-    for mode, bound in ((1, 2), (2, 3), (3, 6)):
-        assert mode_rank(t, mode) <= bound
+    assert all(k <= bound for k, bound in zip(multilinear_rank(t), (2, 3, 6)))
 
 
 def test_rank_tolerance_is_overridable():
     m = np.diag([1.0, 1e-9])
     assert numerical_rank(m) == 2
     assert numerical_rank(m, rank_tol=1e-6) == 1
-
-
-# ---------------------------------------------------------------------------
-# mode_multiply
-
-def test_mode_multiply_identity_is_a_no_op():
-    rng = np.random.default_rng(47)
-    t = random_tensor(rng, (2, 3, 4))
-    for mode, k in ((1, 2), (2, 3), (3, 4)):
-        out = mode_multiply(t, np.eye(k), mode)
-        assert_allclose(out.data, t.data, rtol=0, atol=0)
-
-
-def test_mode_multiply_diagonal_scales_slices():
-    rng = np.random.default_rng(48)
-    t = random_tensor(rng, (2, 2, 2))
-    out = mode_multiply(t, np.diag([2.0, 3.0]), 1)
-    assert_allclose(out.data[0], 2.0 * t.data[0], rtol=1e-15)
-    assert_allclose(out.data[1], 3.0 * t.data[1], rtol=1e-15)
-
-
-def test_mode_multiply_contracts_first_matrix_index():
-    # result[a, j, k] = sum_i t[i, j, k] * m[i, a], entry by entry
-    rng = np.random.default_rng(49)
-    t = random_tensor(rng, (3, 2, 2))
-    m = rng.standard_normal((3, 4))
-    out = mode_multiply(t, m, 1)
-    assert out.dims == (4, 2, 2)
-    for a in range(4):
-        for j in range(2):
-            for k in range(2):
-                expected = sum(t.data[i, j, k] * m[i, a] for i in range(3))
-                assert_allclose(out.data[a, j, k], expected, rtol=1e-13)
-
-
-def test_mode_multiply_different_modes_commute():
-    rng = np.random.default_rng(50)
-    t = random_tensor(rng, (3, 4, 5))
-    a = rng.standard_normal((3, 2))
-    b = rng.standard_normal((4, 6))
-    one = mode_multiply(mode_multiply(t, a, 1), b, 2)
-    two = mode_multiply(mode_multiply(t, b, 2), a, 1)
-    assert_allclose(one.data, two.data, rtol=1e-13)
-
-
-def test_mode_multiply_shape_mismatch():
-    t = DenseTensor3(np.zeros((2, 3, 4)))
-    with pytest.raises(ValueError):
-        mode_multiply(t, np.zeros((3, 3)), 1)
