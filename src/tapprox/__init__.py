@@ -8,7 +8,7 @@ Two complementary routes to a low-multilinear-rank picture of a tensor:
   few of its sections, no optimization involved.
 
 Both return a :class:`TuckerFactorization`.  :mod:`tapprox.tensor_core`
-holds the tensor type, unfoldings, the norm and ranks;
+holds the tensor type, the multilinear product, unfoldings, the norm and ranks;
 :mod:`tapprox.subspace` holds frames, projections and distances.  The
 ``tapprox`` command wraps everything for files on disk.
 """

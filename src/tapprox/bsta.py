@@ -23,6 +23,7 @@ from .subspace import (
     Subspace,
     SubspaceTriple,
     _check_triple,
+    _frames_tucker,
     coefficient_tensor,
     project,
 )
@@ -411,9 +412,7 @@ def bsta_solve(t: DenseTensor3, opts: BstaOptions) -> BstaResult:
     if j is not None:
         s = _with_frame(s, j, q @ (s.x, s.y, s.z)[j].frame)
     residual, certified = verify_critical_point(t, s, opts.crit_tol)
-    tucker = TuckerFactorization(
-        coefficient_tensor(t, s), (s.x.frame.T, s.y.frame.T, s.z.frame.T)
-    )
+    tucker = _frames_tucker(t, s)
     # The direct residual norm agrees with sqrt(|t|^2 - objective) by
     # Pythagoras but avoids the sqrt(eps) cancellation floor of the
     # subtraction when the approximation is (near-)exact.

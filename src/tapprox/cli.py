@@ -38,6 +38,7 @@ from .tensor_core import (
     TuckerFactorization,
     _check_norm_range,
     _check_ranks,
+    _multilinear,
     as_matrix,
     hs_norm,
     multilinear_rank,
@@ -241,11 +242,13 @@ def _rel_error(error: float, norm: float) -> float:
 
 def cmd_info(args: argparse.Namespace) -> int:
     t = read_tensor_file(args.file)
+    norm = hs_norm(t)
+    _check_norm_range(t, norm)
     report = RunReport()
     report.add("command", "info")
     report.add("dims", _fmt_dims(t.dims))
     report.add("values", str(t.size))
-    report.add("hs_norm", _fmt_float(hs_norm(t)))
+    report.add("hs_norm", _fmt_float(norm))
     report.add("multilinear_rank", _fmt_dims(multilinear_rank(t)))
     sys.stdout.write(report.to_text())
     return 0
@@ -263,7 +266,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(seed)
     core = rng.standard_normal(mlrank)
     qs = [np.linalg.qr(rng.standard_normal((m, k)))[0] for m, k in zip(dims, mlrank)]
-    data = np.einsum("abc,ia,jb,kc->ijk", core, *qs, optimize=True)
+    data = _multilinear(core, qs)
     if args.noise > 0.0:
         data = data + args.noise * rng.standard_normal(dims)
     t = DenseTensor3(data)
@@ -332,7 +335,6 @@ def _solve_bsta(t, norm, ranks, seed, args) -> Solution:
 
 
 def _solve_flrta(t, norm, sizes, seed, args) -> Solution:
-    _check_norm_range(t, norm)  # bsta_solve applies the same rule itself
     degenerate = False
     try:
         sel = select_indices(t, sizes, trials=args.trials, seed=seed)

@@ -23,8 +23,11 @@ from .tensor_core import (
     DenseTensor3,
     TuckerFactorization,
     _check_factors,
+    _check_norm_range,
     _check_ranks,
+    _multilinear,
     as_matrix,
+    hs_norm,
     numerical_rank,
 )
 
@@ -181,6 +184,7 @@ def flrta_approx(t: DenseTensor3, sel: IndexSelection, pinv_tol: float | None = 
     only entries of ``t`` on the sections appear in the factors, and the
     core is built from pseudoinverses of the small cross blocks.
     """
+    _check_norm_range(t, hs_norm(t))
     s1, s2, s3 = sections(t, sel)
     l1, l2, l3 = t.dims
     p, q, r = sel.sizes
@@ -232,6 +236,7 @@ def select_indices(
     Raises :class:`SelectionError` when every trial is singular; the
     error carries the best-effort selection and the full report.
     """
+    _check_norm_range(t, hs_norm(t))
     l1, l2, l3 = t.dims
     p, q, r = _check_ranks(t.dims, ranks, "section sizes")
     trials = int(trials)
@@ -278,15 +283,11 @@ def fit_core_full(t: DenseTensor3, factors, pinv_tol: float | None = None) -> De
     """Least-squares core for fixed factors, fitted over every entry.
 
     Because the factors enter mode by mode, the normal equations separate
-    and the minimum-norm optimum is the tensor contracted with the
-    pseudoinverse of each factor's transpose.
+    and the minimum-norm optimum is the multilinear product of the tensor
+    with the pseudoinverse of each factor's transpose.
     """
-    f1, f2, f3 = _check_factors(factors, t.dims, 1, "tensor")
-    p1 = pinv(f1.T, pinv_tol)
-    p2 = pinv(f2.T, pinv_tol)
-    p3 = pinv(f3.T, pinv_tol)
-    core = np.einsum("ijk,ai,bj,ck->abc", t.data, p1, p2, p3, optimize=True)
-    return DenseTensor3(core)
+    facs = _check_factors(factors, t.dims, 1, "tensor")
+    return DenseTensor3(_multilinear(t.data, [pinv(f.T, pinv_tol) for f in facs]))
 
 
 def fit_core_cross(
@@ -305,18 +306,16 @@ def fit_core_cross(
     f1, f2, f3 = _check_factors(factors, t.dims, 1, "tensor")
     l1, l2, l3 = t.dims
 
-    coords = set()
-    coords.update((i, j, k) for i in range(l1) for j in sel.j_set for k in sel.k_set)
-    coords.update((i, j, k) for i in sel.i_set for j in range(l2) for k in sel.k_set)
-    coords.update((i, j, k) for i in sel.i_set for j in sel.j_set for k in range(l3))
-    coords = sorted(coords)
-    ci = np.array([c[0] for c in coords])
-    cj = np.array([c[1] for c in coords])
-    ck = np.array([c[2] for c in coords])
+    # The sampled entries in lexicographic order: np.nonzero reads C order.
+    sampled = np.zeros(t.dims, dtype=bool)
+    sampled[np.ix_(np.arange(l1), sel.j_set, sel.k_set)] = True
+    sampled[np.ix_(sel.i_set, np.arange(l2), sel.k_set)] = True
+    sampled[np.ix_(sel.i_set, sel.j_set, np.arange(l3))] = True
+    ci, cj, ck = np.nonzero(sampled)
 
     design = np.einsum(
         "as,bs,cs->sabc", f1[:, ci], f2[:, cj], f3[:, ck], optimize=True
-    ).reshape(len(coords), -1)
+    ).reshape(ci.size, -1)
     rhs = t.data[ci, cj, ck]
     if numerical_rank(design) < design.shape[1]:
         warnings.warn(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import DenseTensor3, as_matrix, hs_norm
+from .tensor_core import DenseTensor3, TuckerFactorization, _multilinear, as_matrix, hs_norm
 
 #: Per-entry tolerance for accepting a frame as orthonormal.
 ORTHO_TOL = 1e-10
@@ -89,34 +89,27 @@ def _check_triple(t: DenseTensor3, s: SubspaceTriple) -> None:
 def coefficient_tensor(t: DenseTensor3, s: SubspaceTriple) -> DenseTensor3:
     """Coordinates of the projection of ``t`` in the frames of ``s``.
 
-    Entry ``(a, b, c)`` is the inner product of ``t`` with
-    ``x_a (x) y_b (x) z_c``, the rank-one tensor built from the frames'
-    columns.  The result has shape ``s.dims``.
+    Entry ``(a, b, c)`` is the inner product of ``t`` with the rank-one
+    tensor ``x_a (x) y_b (x) z_c`` of the frames' columns: the result, of shape
+    ``s.dims``, is the multilinear product of ``t`` with the transposed frames.
     """
     _check_triple(t, s)
-    c = np.einsum(
-        "ijk,ia,jb,kc->abc",
-        t.data,
-        s.x.frame,
-        s.y.frame,
-        s.z.frame,
-        optimize=True,
+    return DenseTensor3(_multilinear(t.data, (s.x.frame.T, s.y.frame.T, s.z.frame.T)))
+
+
+def _frames_tucker(t: DenseTensor3, s: SubspaceTriple) -> TuckerFactorization:
+    """The coefficient tensor as core and the transposed frames (views) as factors."""
+    return TuckerFactorization(
+        coefficient_tensor(t, s), (s.x.frame.T, s.y.frame.T, s.z.frame.T)
     )
-    return DenseTensor3(c)
 
 
 def project(t: DenseTensor3, s: SubspaceTriple) -> DenseTensor3:
-    """Orthogonal projection of ``t`` onto the tensor product of ``s``."""
-    c = coefficient_tensor(t, s)
-    p = np.einsum(
-        "abc,ia,jb,kc->ijk",
-        c.data,
-        s.x.frame,
-        s.y.frame,
-        s.z.frame,
-        optimize=True,
-    )
-    return DenseTensor3(p)
+    """Orthogonal projection of ``t`` onto the tensor product of ``s``.
+
+    The reconstruction of the frames' Tucker form (:func:`_frames_tucker`).
+    """
+    return _frames_tucker(t, s).reconstruct()
 
 
 def distance(t: DenseTensor3, s: SubspaceTriple) -> float:

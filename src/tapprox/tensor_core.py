@@ -94,6 +94,14 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def _multilinear(data: np.ndarray, mats) -> np.ndarray:
+    """The multilinear product ``data x_1 A x_2 B x_3 C`` of ``(A, B, C) = mats``.
+
+    Every Tucker contraction in the package goes through this one kernel.
+    """
+    return np.einsum("abc,ia,jb,kc->ijk", data, *mats, optimize=True)
+
+
 def _check_factors(factors, dims, axis: int, of: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Three factor matrices whose rows (``axis=0``) or columns (``axis=1``) match ``dims``."""
     if len(factors) != 3:
@@ -229,10 +237,8 @@ class TuckerFactorization:
         return tuple(f.shape[1] for f in self.factors)  # type: ignore[return-value]
 
     def reconstruct(self) -> DenseTensor3:
-        """Contract the core with all three factors."""
-        f1, f2, f3 = self.factors
-        out = np.einsum("abc,ai,bj,ck->ijk", self.core.data, f1, f2, f3, optimize=True)
-        return DenseTensor3(out)
+        """Contract the core with all three factors (the multilinear product)."""
+        return DenseTensor3(_multilinear(self.core.data, [f.T for f in self.factors]))
 
     def storage_count(self) -> int:
         """Number of stored scalars (core plus factors)."""

@@ -13,7 +13,16 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 import tapprox
-from tapprox import BstaOptions, DenseTensor3, bsta_solve, hs_norm, multilinear_rank
+from tapprox import (
+    BstaOptions,
+    DenseTensor3,
+    IndexSelection,
+    bsta_solve,
+    flrta_approx,
+    hs_norm,
+    multilinear_rank,
+    select_indices,
+)
 from tapprox.cli import (
     DEFAULT_SEED,
     main,
@@ -486,6 +495,7 @@ def test_out_of_range_norm_is_a_one_line_error(tmp_path, capsys, scale):
     t = DenseTensor3(scale * base)
     write_tensor_file(f, t)
     for argv in (
+        ["info", f],
         ["bsta", f, "2", "2", "2", str(tmp_path / "o")],
         ["flrta", f, "2", "2", "2", str(tmp_path / "o")],
         ["bench", f, "2,2,2"],
@@ -494,11 +504,18 @@ def test_out_of_range_norm_is_a_one_line_error(tmp_path, capsys, scale):
         assert rc == 1 and out == ""
         assert err.startswith("error: hs_norm ") and err.count("\n") == 1
         assert err.rstrip().endswith("rescale the input")
-    with pytest.raises(ValueError, match="rescale the input") as exc_info:
-        bsta_solve(t, BstaOptions(target_ranks=(2, 2, 2)))
-    assert "\n" not in str(exc_info.value)
+    sel = IndexSelection(t.dims, (0, 1), (0, 1), (0, 1))
+    for solve in (
+        lambda: bsta_solve(t, BstaOptions(target_ranks=(2, 2, 2))),
+        lambda: select_indices(t, (2, 2, 2)),
+        lambda: flrta_approx(t, sel),
+    ):
+        with pytest.raises(ValueError, match="rescale the input") as exc_info:
+            solve()
+        assert "\n" not in str(exc_info.value)
     # The zero tensor is in range.
     write_tensor_file(f, DenseTensor3(np.zeros((6, 5, 4))))
+    assert run_cli(capsys, ["info", f])[0] == 0
     for method in ("bsta", "flrta"):
         rc, _, _ = run_cli(capsys, [method, f, "2", "2", "2", str(tmp_path / "z")])
         assert rc == 0
