@@ -32,8 +32,9 @@ from .tensor_core import (
     DenseTensor3,
     TuckerFactorization,
     _check_mode,
-    _check_norm_range,
     _check_ranks,
+    _checked_norm,
+    _three_positive_ints,
     fold,
     hs_norm,
     unfold,
@@ -78,9 +79,7 @@ class BstaOptions:
     crit_tol: float = DEFAULT_CRIT_TOL
 
     def __post_init__(self) -> None:
-        ranks = tuple(int(k) for k in self.target_ranks)
-        if len(ranks) != 3 or min(ranks) < 1:
-            raise ValueError(f"target_ranks must be three positive ints, got {self.target_ranks}")
+        ranks = _three_positive_ints(self.target_ranks, "target_ranks")
         object.__setattr__(self, "target_ranks", ranks)
         if int(self.max_sweeps) < 1:
             raise ValueError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
@@ -372,8 +371,7 @@ def bsta_solve(t: DenseTensor3, opts: BstaOptions) -> BstaResult:
     core and the error are computed on the full tensor.
     """
     ranks = _check_ranks(t.dims, opts.target_ranks)
-    norm = hs_norm(t)
-    _check_norm_range(t, norm)
+    norm = _checked_norm(t)
     j = _long_mode(t.dims, ranks)
     work = t
     if j is not None:

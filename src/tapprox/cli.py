@@ -14,7 +14,7 @@ header.  The writers put one mode-3 fiber (or matrix row) on each line,
 write each line of a multi-line comment with its own '#', and use 17
 significant digits, so write/read round-trips are bit-exact.  A bad file
 fails with one ValueError line that names the file, the line number and
-the first bad token.
+the first bad token, non-UTF-8 bytes included; comment lines may hold any.
 
 All reports are deterministic given flags, seeds and input files;
 measured wall time is printed to stderr only, never into a report.
@@ -36,10 +36,10 @@ from .flrta import DEFAULT_TRIALS, SelectionError, flrta_approx, select_indices
 from .tensor_core import (
     DenseTensor3,
     TuckerFactorization,
-    _check_norm_range,
     _check_ranks,
+    _checked_norm,
+    _float_array,
     _multilinear,
-    as_matrix,
     hs_norm,
     multilinear_rank,
 )
@@ -117,11 +117,19 @@ def _checked_row(path: str, lineno: int, tokens, filled: int, expected: int) -> 
     return row
 
 
+def _empty_values(count: int, where: str) -> np.ndarray:
+    """``np.empty(count)``, or one ValueError line when it cannot be allocated."""
+    try:
+        return np.empty(count)
+    except (MemoryError, ValueError):
+        raise ValueError(f"{where}: {count} values do not fit in memory") from None
+
+
 def _read_numeric_file(path: str, magic: str, ndims: int):
     dims: tuple[int, ...] | None = None
     expected = filled = 0
     values = np.empty(0)
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="backslashreplace") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -145,12 +153,7 @@ def _read_numeric_file(path: str, magic: str, ndims: int):
                         f"{path}: line {lineno}: dimensions must be positive, got {dims}"
                     )
                 expected = math.prod(dims)
-                try:
-                    values = np.empty(expected)
-                except (MemoryError, ValueError):
-                    raise ValueError(
-                        f"{path}: line {lineno}: {expected} values do not fit in memory"
-                    ) from None
+                values = _empty_values(expected, f"{path}: line {lineno}")
                 continue
             try:
                 row = list(map(float, tokens))
@@ -200,7 +203,7 @@ def read_matrix_file(path: str) -> np.ndarray:
 
 def write_matrix_file(path: str, m, comments=()) -> None:
     """Write an ``m2`` matrix file (one row per line, 17 digits)."""
-    arr = as_matrix(m)
+    arr = _float_array(m)
     _write_numeric_file(path, f"m2 {arr.shape[0]} {arr.shape[1]}", arr, comments)
 
 
@@ -242,8 +245,7 @@ def _rel_error(error: float, norm: float) -> float:
 
 def cmd_info(args: argparse.Namespace) -> int:
     t = read_tensor_file(args.file)
-    norm = hs_norm(t)
-    _check_norm_range(t, norm)
+    norm = _checked_norm(t)
     report = RunReport()
     report.add("command", "info")
     report.add("dims", _fmt_dims(t.dims))
@@ -261,6 +263,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
         raise ValueError(
             f"noise standard deviation must be finite and >= 0, got {args.noise}"
         )
+    # Refuse dims that no array can hold before drawing anything.
+    _empty_values(math.prod(dims), f"dims {_fmt_dims(dims)}")
     seed = _resolve_seed(args.seed)
 
     rng = np.random.default_rng(seed)
@@ -375,13 +379,15 @@ _METHODS = {
 def cmd_solve(args: argparse.Namespace) -> int:
     """Run ``bsta`` or ``flrta``: solve, write factors and core, report."""
     solve, suffixes, transposed = _METHODS[args.command]
+    prefix = args.out_prefix
+    if not os.path.isdir(os.path.dirname(prefix) or "."):
+        raise ValueError(f"the directory of output prefix {prefix!r} does not exist")
     t = read_tensor_file(args.file)
     norm = hs_norm(t)
     start = time.perf_counter()
     sol = solve(t, norm, (args.p, args.q, args.r), _resolve_seed(args.seed), args)
     wall = time.perf_counter() - start
 
-    prefix = args.out_prefix
     for suffix, factor in zip(suffixes, sol.tucker.factors):
         write_matrix_file(prefix + suffix, factor.T if transposed else factor)
     write_tensor_file(prefix + ".core.t3", sol.tucker.core)
@@ -499,7 +505,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

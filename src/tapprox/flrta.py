@@ -23,15 +23,14 @@ from .tensor_core import (
     DenseTensor3,
     TuckerFactorization,
     _check_factors,
-    _check_norm_range,
     _check_ranks,
+    _checked_norm,
+    _float_array,
     _multilinear,
-    as_matrix,
-    hs_norm,
+    _rank_cutoff,
+    _three_positive_ints,
     numerical_rank,
 )
-
-_EPS = float(np.finfo(np.float64).eps)
 
 DEFAULT_TRIALS = 20
 
@@ -93,9 +92,7 @@ class IndexSelection:
     cond_report: tuple[TrialConditions, ...] | None = None
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
-        if len(dims) != 3 or min(dims) < 1:
-            raise ValueError(f"dims must be three positive ints, got {self.dims}")
+        dims = _three_positive_ints(self.dims, "dims")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "i_set", _check_index_set(self.i_set, dims[0], "i_set"))
         object.__setattr__(self, "j_set", _check_index_set(self.j_set, dims[1], "j_set"))
@@ -126,14 +123,11 @@ def pinv(m, tol: float | None = None) -> np.ndarray:
     """
     if tol is not None and not tol >= 0.0:
         raise ValueError(f"pinv tolerance must be >= 0, got {tol}")
-    arr = as_matrix(m)
+    arr = _float_array(m)
     u, s, vh = np.linalg.svd(arr, full_matrices=False)
-    if tol is None:
-        tol = max(arr.shape) * _EPS
+    rank = _rank_cutoff(s, arr.shape, tol)
     inv = np.zeros_like(s)
-    if s.size and s[0] > 0.0:
-        keep = s > tol * s[0]
-        inv[keep] = 1.0 / s[keep]
+    inv[:rank] = 1.0 / s[:rank]
     return (vh.T * inv) @ u.T
 
 
@@ -151,12 +145,20 @@ def sections(
     ``(j_set, k_set)``; the other two analogously keep modes 2 and 3.
     """
     _check_selection(t, sel)
-    a = t.data
-    l1, l2, l3 = t.dims
-    c1 = a[np.ix_(np.arange(l1), sel.j_set, sel.k_set)]
-    c2 = a[np.ix_(sel.i_set, np.arange(l2), sel.k_set)]
-    c3 = a[np.ix_(sel.i_set, sel.j_set, np.arange(l3))]
-    return DenseTensor3(c1), DenseTensor3(c2), DenseTensor3(c3)
+    return tuple(DenseTensor3(t.data[g]) for g in _section_grids(sel))  # type: ignore[return-value]
+
+
+def _section_grids(sel: IndexSelection):
+    """Index grids of the three :func:`sections`."""
+    l1, l2, l3 = sel.dims
+    i, j, k = sel.i_set, sel.j_set, sel.k_set
+    return np.ix_(np.arange(l1), j, k), np.ix_(i, np.arange(l2), k), np.ix_(i, j, np.arange(l3))
+
+
+def _cross_blocks(fibers: np.ndarray, k_set) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The ``(L, K)`` and per-slice ``(I, J)`` cross blocks of ``fibers = t[I, J, :]``."""
+    p, q, l3 = fibers.shape
+    return fibers.reshape(p * q, l3)[:, k_set], [fibers[:, :, k] for k in k_set]
 
 
 def slice_cross(t: DenseTensor3, sel: IndexSelection, k: int, pinv_tol: float | None = None) -> np.ndarray:
@@ -184,7 +186,7 @@ def flrta_approx(t: DenseTensor3, sel: IndexSelection, pinv_tol: float | None = 
     only entries of ``t`` on the sections appear in the factors, and the
     core is built from pseudoinverses of the small cross blocks.
     """
-    _check_norm_range(t, hs_norm(t))
+    _checked_norm(t)
     s1, s2, s3 = sections(t, sel)
     l1, l2, l3 = t.dims
     p, q, r = sel.sizes
@@ -195,15 +197,14 @@ def flrta_approx(t: DenseTensor3, sel: IndexSelection, pinv_tol: float | None = 
     c2 = s2.data.transpose(0, 2, 1).reshape(p * r, l2)
     c3 = s3.data.reshape(p * q, l3)
 
-    # Interpolation weights across mode 3 (the rows of c3 are the L rows
-    # of the mode-3-major unfolding) ...
-    w = pinv(c3[:, sel.k_set], pinv_tol)  # (r, p*q)
-    # ... and within each selected slice.
+    # Interpolation weights across mode 3, and within each selected slice.
+    outer, slices = _cross_blocks(s3.data, sel.k_set)
+    w = pinv(outer, pinv_tol)  # (r, p*q)
     core = np.zeros((q * r, p * r, p * q))
     row_base = np.arange(q) * r
     col_base = np.arange(p) * r
-    for kidx, k in enumerate(sel.k_set):
-        pk = pinv(s3.data[:, :, k], pinv_tol)  # (q, p)
+    for kidx, block in enumerate(slices):
+        pk = pinv(block, pinv_tol)  # (q, p)
         core[np.ix_(row_base + kidx, col_base + kidx)] = pk[:, :, None] * w[kidx][None, None, :]
     return TuckerFactorization(DenseTensor3(core), (c1, c2, c3))
 
@@ -211,9 +212,7 @@ def flrta_approx(t: DenseTensor3, sel: IndexSelection, pinv_tol: float | None = 
 def _condition_number(m: np.ndarray) -> float:
     """sigma_max / sigma_min, or +inf when the matrix is numerically singular."""
     s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return float("inf")
-    if s[-1] <= max(m.shape) * _EPS * s[0]:
+    if _rank_cutoff(s, m.shape) < s.size:
         return float("inf")
     return float(s[0] / s[-1])
 
@@ -236,7 +235,7 @@ def select_indices(
     Raises :class:`SelectionError` when every trial is singular; the
     error carries the best-effort selection and the full report.
     """
-    _check_norm_range(t, hs_norm(t))
+    _checked_norm(t)
     l1, l2, l3 = t.dims
     p, q, r = _check_ranks(t.dims, ranks, "section sizes")
     trials = int(trials)
@@ -253,11 +252,9 @@ def select_indices(
 
     records = []
     for ii, jj, kk in cands:
-        # The third section holds both kinds of cross block, as in flrta_approx.
-        fibers = t.data[np.ix_(ii, jj)]  # (p, q, l3)
-        cond_outer = _condition_number(fibers.reshape(p * q, l3)[:, kk])
-        cond_slices = tuple(_condition_number(fibers[:, :, k]) for k in kk)
-        records.append(TrialConditions(ii, jj, kk, cond_outer, cond_slices))
+        outer, slices = _cross_blocks(t.data[np.ix_(ii, jj)], kk)
+        cond_slices = tuple(_condition_number(block) for block in slices)
+        records.append(TrialConditions(ii, jj, kk, _condition_number(outer), cond_slices))
 
     best = min(records, key=lambda rec: (rec.worst, rec.i_set, rec.j_set, rec.k_set))
     selection = IndexSelection(
@@ -304,13 +301,11 @@ def fit_core_cross(
     """
     _check_selection(t, sel)
     f1, f2, f3 = _check_factors(factors, t.dims, 1, "tensor")
-    l1, l2, l3 = t.dims
 
     # The sampled entries in lexicographic order: np.nonzero reads C order.
     sampled = np.zeros(t.dims, dtype=bool)
-    sampled[np.ix_(np.arange(l1), sel.j_set, sel.k_set)] = True
-    sampled[np.ix_(sel.i_set, np.arange(l2), sel.k_set)] = True
-    sampled[np.ix_(sel.i_set, sel.j_set, np.arange(l3))] = True
+    for grid in _section_grids(sel):
+        sampled[grid] = True
     ci, cj, ck = np.nonzero(sampled)
 
     design = np.einsum(

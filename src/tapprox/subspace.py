@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import DenseTensor3, TuckerFactorization, _multilinear, as_matrix, hs_norm
+from .tensor_core import DenseTensor3, TuckerFactorization, _float_array, _multilinear, hs_norm
 
 #: Per-entry tolerance for accepting a frame as orthonormal.
 ORTHO_TOL = 1e-10
@@ -29,7 +29,7 @@ class Subspace:
     __slots__ = ("_frame",)
 
     def __init__(self, frame) -> None:
-        f = np.array(as_matrix(frame, "frame"), copy=True)
+        f = np.array(_float_array(frame, name="frame"), copy=True)
         m, k = f.shape
         if k > m:
             raise ValueError(

@@ -34,13 +34,7 @@ class DenseTensor3:
     __slots__ = ("_data",)
 
     def __init__(self, data) -> None:
-        arr = np.array(data, dtype=np.float64, order="C", copy=True)
-        if arr.ndim != 3:
-            raise ValueError(f"expected a 3-way array, got {arr.ndim} axes")
-        if min(arr.shape) < 1:
-            raise ValueError(f"tensor dimensions must be positive, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("tensor entries must be finite reals")
+        arr = _float_array(np.array(data, dtype=np.float64, order="C", copy=True), 3, "tensor")
         arr.flags.writeable = False
         self._data = arr
 
@@ -51,11 +45,7 @@ class DenseTensor3:
         The flat layout has the first index slowest and the third index
         fastest, matching ``self.data.ravel()``.
         """
-        dims = tuple(int(d) for d in dims)
-        if len(dims) != 3:
-            raise ValueError(f"expected three dimensions, got {dims}")
-        if min(dims) < 1:
-            raise ValueError(f"tensor dimensions must be positive, got {dims}")
+        dims = _three_positive_ints(dims, "dims")
         flat = np.asarray(values, dtype=np.float64).ravel()
         expected = math.prod(dims)
         if flat.size != expected:
@@ -82,11 +72,19 @@ class DenseTensor3:
         return f"DenseTensor3(dims=({m1}, {m2}, {m3}))"
 
 
-def as_matrix(values, name: str = "matrix") -> np.ndarray:
-    """Validate and return a 2-d float64 array (copies only if needed)."""
+def _three_positive_ints(values, name: str) -> tuple[int, int, int]:
+    """``values`` as a tuple of three ints, each at least 1."""
+    out = tuple(int(v) for v in values)
+    if len(out) != 3 or min(out) < 1:
+        raise ValueError(f"{name} must be three positive ints, got {out}")
+    return out  # type: ignore[return-value]
+
+
+def _float_array(values, ndim: int = 2, name: str = "matrix") -> np.ndarray:
+    """Validate and return an ``ndim``-axis float64 array (copies only if needed)."""
     arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be 2-dimensional, got {arr.ndim} axes")
+    if arr.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-dimensional, got {arr.ndim} axes")
     if min(arr.shape) < 1:
         raise ValueError(f"{name} dimensions must be positive, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -106,7 +104,7 @@ def _check_factors(factors, dims, axis: int, of: str) -> tuple[np.ndarray, np.nd
     """Three factor matrices whose rows (``axis=0``) or columns (``axis=1``) match ``dims``."""
     if len(factors) != 3:
         raise ValueError(f"expected three factors, got {len(factors)}")
-    facs = tuple(as_matrix(f, f"factor {j + 1}") for j, f in enumerate(factors))
+    facs = tuple(_float_array(f, name=f"factor {j + 1}") for j, f in enumerate(factors))
     for j, f in enumerate(facs):
         if f.shape[axis] != dims[j]:
             raise ValueError(
@@ -124,11 +122,9 @@ def _check_mode(mode: int) -> int:
 
 def _check_ranks(dims, ranks, what: str = "target ranks") -> tuple[int, int, int]:
     """Validate three ranks against ``dims``: each must lie in ``[1, dim]``."""
-    ranks = tuple(int(k) for k in ranks)
-    if len(ranks) != 3:
-        raise ValueError(f"expected three {what}, got {ranks}")
+    ranks = _three_positive_ints(ranks, what)
     for k, m in zip(ranks, dims):
-        if not 1 <= k <= m:
+        if k > m:
             raise ValueError(f"{what} {ranks} out of range for dims {tuple(dims)}")
     return ranks  # type: ignore[return-value]
 
@@ -148,10 +144,8 @@ def unfold(t: DenseTensor3, mode: int) -> np.ndarray:
 def fold(m, mode: int, dims: Sequence[int]) -> DenseTensor3:
     """Inverse of :func:`unfold`: rebuild the tensor with shape ``dims``."""
     ax = _check_mode(mode)
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != 3:
-        raise ValueError(f"expected three dimensions, got {dims}")
-    arr = as_matrix(m)
+    dims = _three_positive_ints(dims, "dims")
+    arr = _float_array(m)
     rest = [dims[k] for k in range(3) if k != ax]
     expected = (dims[ax], rest[0] * rest[1])
     if arr.shape != expected:
@@ -167,28 +161,38 @@ def hs_norm(t: DenseTensor3) -> float:
     """Hilbert-Schmidt norm: the square root of the sum of squared entries.
 
     The sum is not rescaled: it is ``inf`` when it overflows and ``0`` when
-    every square underflows, which :func:`_check_norm_range` rejects.
+    every square underflows, which :func:`_checked_norm` rejects.
     """
     with np.errstate(over="ignore"):
         return float(np.linalg.norm(t.data.ravel()))
 
 
-def _check_norm_range(t: DenseTensor3, norm: float) -> None:
+def _checked_norm(t: DenseTensor3) -> float:
     """Reject a nonzero tensor whose squared norm is not a finite normal float.
 
-    ``norm`` is ``hs_norm(t)``.  Both solvers work with squared norms
+    Returns ``hs_norm(t)``.  Both solvers work with squared norms
     (objectives, gain floors, errors), which underflow or overflow outside
     this range and would make their answers meaningless.  Only a zero norm
     looks at the entries again, to tell the zero tensor from an underflow.
     """
+    norm = hs_norm(t)
     sq = norm * norm
     if _TINY <= sq < math.inf or (sq == 0.0 and not t.data.any()):
-        return
+        return norm
     raise ValueError(
         f"hs_norm {norm:.3g} of a nonzero tensor is out of range "
         f"[{math.sqrt(_TINY):.3g}, {math.sqrt(np.finfo(np.float64).max):.3g}] "
         "(its square must be a normal float); rescale the input"
     )
+
+
+def _rank_cutoff(s: np.ndarray, shape, tol: float | None = None) -> int:
+    """Rank by :func:`numerical_rank`'s cutoff; ``s`` decreases, so it keeps ``s[:rank]``."""
+    if s.size == 0 or s[0] <= 0.0:
+        return 0
+    if tol is None:
+        tol = max(shape) * _EPS
+    return int(np.count_nonzero(s > tol * s[0]))
 
 
 def numerical_rank(m, rank_tol: float | None = None) -> int:
@@ -197,13 +201,8 @@ def numerical_rank(m, rank_tol: float | None = None) -> int:
     Counts singular values strictly greater than ``rank_tol * sigma_max``.
     The default ``rank_tol`` is ``max(rows, cols) * machine_eps``.
     """
-    arr = as_matrix(m)
-    s = np.linalg.svd(arr, compute_uv=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    if rank_tol is None:
-        rank_tol = max(arr.shape) * _EPS
-    return int(np.count_nonzero(s > rank_tol * s[0]))
+    arr = _float_array(m)
+    return _rank_cutoff(np.linalg.svd(arr, compute_uv=False), arr.shape, rank_tol)
 
 
 def multilinear_rank(

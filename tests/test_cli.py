@@ -110,6 +110,20 @@ def test_tensor_file_parse_errors(tmp_path, content, fragment):
         read_tensor_file(str(path))
 
 
+def test_non_utf8_bytes_fail_at_their_line_and_may_sit_in_comments(tmp_path, capsys):
+    bad = tmp_path / "bad.t3"
+    bad.write_bytes(b"t3 1 1 2\n1 \xff\n")
+    rc, out, err = run_cli(capsys, ["info", str(bad)])
+    assert rc == 1 and out == ""
+    assert err == f"error: {bad}: line 2: could not parse '\\\\xff' as a real number\n"
+    bad.write_bytes(b"t3 1 \xe91 2\n1 2\n")
+    with pytest.raises(ValueError, match="line 1: header dimensions must be integers"):
+        read_tensor_file(str(bad))
+    ok = tmp_path / "ok.t3"
+    ok.write_bytes(b"# caf\xe9 \xff\x80\nt3 1 1 2\n1 2\n")
+    assert np.array_equal(read_tensor_file(str(ok)).data.ravel(), [1.0, 2.0])
+
+
 @pytest.mark.parametrize("n", [300_000, 10_000_000])
 def test_header_beyond_memory_is_a_one_line_error(tmp_path, capsys, n):
     # n**3 float64 values need more than a 57-bit address space (the first n)
@@ -519,6 +533,50 @@ def test_out_of_range_norm_is_a_one_line_error(tmp_path, capsys, scale):
     for method in ("bsta", "flrta"):
         rc, _, _ = run_cli(capsys, [method, f, "2", "2", "2", str(tmp_path / "z")])
         assert rc == 0
+
+
+def test_gen_beyond_memory_is_a_one_line_error(tmp_path, capsys):
+    # 10**17 float64 values need more bytes than any 64-bit address space
+    # maps (2**57), so gen must refuse them before it draws anything.
+    out_file = tmp_path / "big.t3"
+    rc, out, err = run_cli(
+        capsys, ["gen", str(out_file), "--dims", "1000000,1000000,100000", "--mlrank", "1,1,1"]
+    )
+    assert rc == 1 and out == ""
+    assert err == (
+        "error: dims 1000000x1000000x100000: 100000000000000000 values do not fit in memory\n"
+    )
+    assert not out_file.exists()
+
+
+def test_memory_error_is_a_one_line_error(tmp_path, capsys, monkeypatch):
+    f = str(tmp_path / "t.t3")
+    write_tensor_file(f, DenseTensor3(np.ones((2, 2, 2))))
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+    monkeypatch.setattr("tapprox.cli.multilinear_rank", exhausted)
+    rc, out, err = run_cli(capsys, ["info", f])
+    assert rc == 1 and out == ""
+    assert err == "error: Unable to allocate 8.00 TiB for an array\n"
+
+
+@pytest.mark.parametrize("method", ["bsta", "flrta"])
+def test_missing_output_directory_fails_before_the_solve(tmp_path, capsys, monkeypatch, method):
+    f = str(tmp_path / "t.t3")
+    write_tensor_file(f, random_tensor(np.random.default_rng(0), (4, 4, 4)))
+
+    def never(*args, **kwargs):
+        raise AssertionError("solved before the output directory was checked")
+
+    monkeypatch.setattr("tapprox.cli.bsta_solve", never)
+    monkeypatch.setattr("tapprox.cli.select_indices", never)
+    prefix = str(tmp_path / "missing" / "o")
+    rc, out, err = run_cli(capsys, [method, f, "2", "2", "2", prefix])
+    assert rc == 1 and out == ""
+    assert err == f"error: the directory of output prefix {prefix!r} does not exist\n"
+    assert not (tmp_path / "missing").exists()
 
 
 def test_env_seed_is_used_and_flag_wins(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from tapprox import (
@@ -19,6 +23,7 @@ from tapprox import (
 )
 from tapprox.flrta import RankDeficientDesignWarning, TrialConditions
 from tapprox.subspace import SubspaceTriple, Subspace
+from tapprox.tensor_core import numerical_rank
 
 from helpers import random_orthonormal, random_tensor, tucker_tensor
 
@@ -288,6 +293,80 @@ def test_select_indices_validation():
         select_indices(t, (1, 1, 4))
     with pytest.raises(ValueError):
         select_indices(t, (1, 1, 1), trials=0)
+
+
+# ---------------------------------------------------------------------------
+# one rank cutoff for numerical_rank, pinv and the trial conditions
+
+_EPS = float(np.finfo(np.float64).eps)
+
+
+@st.composite
+def _selection_cases(draw):
+    """A tensor and section sizes: low rank, near the cutoff, full rank, zero slices or zero.
+
+    Shapes include 1 x n x n, and sizes include the dims themselves.
+    """
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 5))
+        dims = (1, n, n)
+    else:
+        dims = tuple(draw(st.integers(1, 5)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["low_rank", "near_cutoff", "full_rank", "zero_slices", "zero"]))
+    if kind in ("low_rank", "near_cutoff"):
+        t = tucker_tensor(rng, dims, tuple(draw(st.integers(1, m)) for m in dims))
+        if kind == "near_cutoff":
+            # Smallest singular values of the cross blocks near max(rows, cols) * eps.
+            noise = draw(st.sampled_from([0.3, 3.0, 30.0])) * _EPS * rng.standard_normal(dims)
+            t = DenseTensor3(t.data + noise)
+    else:
+        data = rng.standard_normal(dims)
+        if kind == "zero_slices":
+            data[:, :, rng.random(dims[2]) < 0.5] = 0.0
+        elif kind == "zero":
+            data[:] = 0.0
+        t = DenseTensor3(data)
+    if draw(st.booleans()):
+        sizes = dims
+    else:
+        sizes = tuple(draw(st.integers(1, m)) for m in dims)
+    return t, sizes
+
+
+@settings(max_examples=80, deadline=None)
+@given(_selection_cases(), st.integers(0, 2**16))
+def test_trial_conditions_are_finite_exactly_at_full_numerical_rank(case, seed):
+    t, sizes = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            report = select_indices(t, sizes, trials=4, seed=seed).cond_report
+        except SelectionError as exc:
+            report = exc.selection.cond_report
+    for rec in report:
+        fibers = t.data[np.ix_(rec.i_set, rec.j_set)]  # (p, q, m3)
+        outer = fibers.reshape(-1, t.dims[2])[:, rec.k_set]
+        blocks = [outer] + [fibers[:, :, k] for k in rec.k_set]
+        for block, cond in zip(blocks, (rec.cond_outer, *rec.cond_slices)):
+            assert np.isfinite(cond) == (numerical_rank(block) == min(block.shape))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.sampled_from([0.0, 0.5, 0.99, 1.01, 2.0, 1e3]), max_size=5),
+    st.sampled_from([None, 1e-9, 1e-3]),
+    st.floats(1e-3, 1e3),
+    st.booleans(),
+)
+def test_pinv_keeps_exactly_the_numerical_rank(factors, tol, scale, zero):
+    # Singular values on both sides of the cutoff tol * sigma_max.
+    n = len(factors) + 1
+    cut = n * _EPS if tol is None else tol
+    s = scale * np.array([1.0] + [f * cut for f in factors])
+    d = np.diag(0.0 * s if zero else s)
+    kept = round(float(np.trace(pinv(d, tol) @ d)))
+    assert kept == numerical_rank(d, tol)
 
 
 # ---------------------------------------------------------------------------
