@@ -31,6 +31,7 @@ from .tensor_core import (
     _TINY,
     DenseTensor3,
     TuckerFactorization,
+    _as_int,
     _check_mode,
     _check_ranks,
     _checked_norm,
@@ -81,9 +82,10 @@ class BstaOptions:
     def __post_init__(self) -> None:
         ranks = _three_positive_ints(self.target_ranks, "target_ranks")
         object.__setattr__(self, "target_ranks", ranks)
-        if int(self.max_sweeps) < 1:
-            raise ValueError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
-        object.__setattr__(self, "max_sweeps", int(self.max_sweeps))
+        sweeps = _as_int(self.max_sweeps, "max_sweeps")
+        if sweeps < 1:
+            raise ValueError(f"max_sweeps must be >= 1, got {sweeps}")
+        object.__setattr__(self, "max_sweeps", sweeps)
         if not (self.rel_tol > 0.0):
             raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
         if not (self.crit_tol > 0.0):

@@ -27,7 +27,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,38 +71,26 @@ def _fmt_bool(x: bool) -> str:
     return "true" if x else "false"
 
 
-@dataclass
-class RunReport:
-    """Ordered key=value record of one command.
+def _report_text(entries) -> str:
+    """One ``key=value`` line per ``(key, value)`` entry of a command's report.
 
-    Serialized reports never contain wall-clock time or file paths, so a
-    rerun with the same flags, seed and input produces identical bytes.
+    Reports never contain wall-clock time or file paths, so a rerun with
+    the same flags, seed and input produces identical bytes.
     """
-
-    entries: list[tuple[str, str]] = field(default_factory=list)
-
-    def add(self, key: str, value: str) -> None:
-        self.entries.append((key, value))
-
-    def to_text(self) -> str:
-        return "".join(f"{k}={v}\n" for k, v in self.entries)
-
-    def to_json(self) -> str:
-        return json.dumps(dict(self.entries), indent=2) + "\n"
+    return "".join(f"{k}={v}\n" for k, v in entries)
 
 
 # ---------------------------------------------------------------------------
 # tensor / matrix files
 
-def _checked_row(path: str, lineno: int, tokens, filled: int, expected: int) -> list[float]:
-    """Parse one data line token by token and raise at its first bad token.
+def _raise_bad_line(path: str, lineno: int, tokens, filled: int, expected: int) -> None:
+    """Raise at the first bad token of a data line ``_read_numeric_file`` rejected.
 
-    ``_read_numeric_file`` converts a whole line at once and falls back to
-    this scan only for a line it rejects, so each diagnostic names the
-    first offending token in file order.
+    That reader converts a whole line at once; this scan repeats its three
+    tests (parse, finite, count) token by token, so it always raises, and
+    each diagnostic names the first offender in file order.
     """
-    row: list[float] = []
-    for tok in tokens:
+    for count, tok in enumerate(tokens, start=filled + 1):
         try:
             val = float(tok)
         except ValueError:
@@ -111,10 +99,8 @@ def _checked_row(path: str, lineno: int, tokens, filled: int, expected: int) -> 
             ) from None
         if not math.isfinite(val):
             raise ValueError(f"{path}: line {lineno}: non-finite value {tok!r}")
-        if filled + len(row) >= expected:
+        if count > expected:
             raise ValueError(f"{path}: line {lineno}: more than {expected} values")
-        row.append(val)
-    return row
 
 
 def _empty_values(count: int, where: str) -> np.ndarray:
@@ -161,7 +147,7 @@ def _read_numeric_file(path: str, magic: str, ndims: int):
                 row = None
             end = filled + len(tokens)
             if row is None or end > expected or not all(map(math.isfinite, row)):
-                row = _checked_row(path, lineno, tokens, filled, expected)
+                _raise_bad_line(path, lineno, tokens, filled, expected)
             values[filled:end] = row
             filled = end
     if dims is None:
@@ -223,17 +209,17 @@ def _triple(text: str) -> tuple[int, int, int]:
 
 
 def _resolve_seed(flag_value: int | None) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(
-                f"{SEED_ENV_VAR} must be an integer, got {env!r}"
-            ) from None
-    return DEFAULT_SEED
+    """The seed from ``--seed``, else ``TAPPROX_SEED``, else the default; never negative."""
+    source, value = "--seed", flag_value
+    if value is None:
+        source, value = SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR, DEFAULT_SEED)
+    try:
+        seed = int(value)
+    except ValueError:
+        raise ValueError(f"{source} must be an integer, got {value!r}") from None
+    if seed < 0:
+        raise ValueError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _rel_error(error: float, norm: float) -> float:
@@ -246,13 +232,13 @@ def _rel_error(error: float, norm: float) -> float:
 def cmd_info(args: argparse.Namespace) -> int:
     t = read_tensor_file(args.file)
     norm = _checked_norm(t)
-    report = RunReport()
-    report.add("command", "info")
-    report.add("dims", _fmt_dims(t.dims))
-    report.add("values", str(t.size))
-    report.add("hs_norm", _fmt_float(norm))
-    report.add("multilinear_rank", _fmt_dims(multilinear_rank(t)))
-    sys.stdout.write(report.to_text())
+    sys.stdout.write(_report_text([
+        ("command", "info"),
+        ("dims", _fmt_dims(t.dims)),
+        ("values", str(t.size)),
+        ("hs_norm", _fmt_float(norm)),
+        ("multilinear_rank", _fmt_dims(multilinear_rank(t))),
+    ]))
     return 0
 
 
@@ -272,8 +258,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
     qs = [np.linalg.qr(rng.standard_normal((m, k)))[0] for m, k in zip(dims, mlrank)]
     data = _multilinear(core, qs)
     if args.noise > 0.0:
-        data = data + args.noise * rng.standard_normal(dims)
+        # An entry that overflows fails DenseTensor3's finite-entry rule
+        # with one line; NumPy's overflow warning would add more.
+        with np.errstate(over="ignore"):
+            data = data + args.noise * rng.standard_normal(dims)
     t = DenseTensor3(data)
+    norm = _checked_norm(t)
 
     write_tensor_file(
         args.out,
@@ -283,14 +273,14 @@ def cmd_gen(args: argparse.Namespace) -> int:
             f"noise_sigma={_fmt_float(args.noise)} seed={seed}"
         ],
     )
-    report = RunReport()
-    report.add("command", "gen")
-    report.add("dims", _fmt_dims(dims))
-    report.add("mlrank", _fmt_dims(mlrank))
-    report.add("noise_sigma", _fmt_float(args.noise))
-    report.add("seed", str(seed))
-    report.add("hs_norm", _fmt_float(hs_norm(t)))
-    sys.stdout.write(report.to_text())
+    sys.stdout.write(_report_text([
+        ("command", "gen"),
+        ("dims", _fmt_dims(dims)),
+        ("mlrank", _fmt_dims(mlrank)),
+        ("noise_sigma", _fmt_float(args.noise)),
+        ("seed", str(seed)),
+        ("hs_norm", _fmt_float(norm)),
+    ]))
     return 0
 
 
@@ -393,20 +383,24 @@ def cmd_solve(args: argparse.Namespace) -> int:
     write_tensor_file(prefix + ".core.t3", sol.tucker.core)
 
     stored = sol.tucker.storage_count()
-    report = RunReport([("command", args.command), ("dims", _fmt_dims(t.dims)), *sol.head])
-    report.add("error_abs", _fmt_float(sol.error))
-    report.add("error_rel", _fmt_float(_rel_error(sol.error, norm)))
-    report.add("storage_dense", str(t.size))
-    report.add("storage_factorized", str(stored))
-    report.add("storage_ratio", _fmt_float(stored / t.size))
-    report.entries.extend(sol.tail)
-    text = report.to_text()
+    report = [
+        ("command", args.command),
+        ("dims", _fmt_dims(t.dims)),
+        *sol.head,
+        ("error_abs", _fmt_float(sol.error)),
+        ("error_rel", _fmt_float(_rel_error(sol.error, norm))),
+        ("storage_dense", str(t.size)),
+        ("storage_factorized", str(stored)),
+        ("storage_ratio", _fmt_float(stored / t.size)),
+        *sol.tail,
+    ]
+    text = _report_text(report)
     sys.stdout.write(text)
     with open(prefix + ".report.txt", "w", encoding="utf-8") as fh:
         fh.write(text)
     if args.json:
         with open(prefix + ".report.json", "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
+            fh.write(json.dumps(dict(report), indent=2) + "\n")
     print(f"wall_time_s={wall:.6f}", file=sys.stderr)
     return 0
 

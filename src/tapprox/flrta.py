@@ -22,6 +22,7 @@ import numpy as np
 from .tensor_core import (
     DenseTensor3,
     TuckerFactorization,
+    _as_int,
     _check_factors,
     _check_ranks,
     _checked_norm,
@@ -70,7 +71,7 @@ class TrialConditions:
 
 
 def _check_index_set(values, bound: int, name: str) -> tuple[int, ...]:
-    out = tuple(int(v) for v in values)
+    out = tuple(_as_int(v, name) for v in values)
     if len(out) == 0:
         raise ValueError(f"{name} must not be empty")
     if len(set(out)) != len(out):
@@ -117,12 +118,9 @@ def pinv(m, tol: float | None = None) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD.
 
     Singular values at or below ``tol * sigma_max`` are treated as zero;
-    the default ``tol`` is ``max(rows, cols) * machine_eps``.  A negative
-    or NaN ``tol`` is rejected: it would invert every singular value,
-    however small, and return a silently wrong answer.
+    the default ``tol`` is ``max(rows, cols) * machine_eps``, and a
+    negative or NaN ``tol`` is rejected.
     """
-    if tol is not None and not tol >= 0.0:
-        raise ValueError(f"pinv tolerance must be >= 0, got {tol}")
     arr = _float_array(m)
     u, s, vh = np.linalg.svd(arr, full_matrices=False)
     rank = _rank_cutoff(s, arr.shape, tol)
@@ -161,7 +159,7 @@ def _cross_blocks(fibers: np.ndarray, k_set) -> tuple[np.ndarray, list[np.ndarra
     return fibers.reshape(p * q, l3)[:, k_set], [fibers[:, :, k] for k in k_set]
 
 
-def slice_cross(t: DenseTensor3, sel: IndexSelection, k: int, pinv_tol: float | None = None) -> np.ndarray:
+def slice_cross(t: DenseTensor3, sel: IndexSelection, k: int) -> np.ndarray:
     """Skeleton (CUR) approximation of the mode-3 slice at index ``k``.
 
     Returns ``F[:, J] @ pinv(F[I, J]) @ F[I, :]`` for the slice
@@ -172,7 +170,7 @@ def slice_cross(t: DenseTensor3, sel: IndexSelection, k: int, pinv_tol: float | 
         raise ValueError(f"slice index {k} is not in k_set {sel.k_set}")
     f = t.data[:, :, k]
     block = f[np.ix_(sel.i_set, sel.j_set)]
-    return f[:, sel.j_set] @ pinv(block, pinv_tol) @ f[sel.i_set, :]
+    return f[:, sel.j_set] @ pinv(block) @ f[sel.i_set, :]
 
 
 def flrta_approx(t: DenseTensor3, sel: IndexSelection, pinv_tol: float | None = None) -> TuckerFactorization:
@@ -238,7 +236,7 @@ def select_indices(
     _checked_norm(t)
     l1, l2, l3 = t.dims
     p, q, r = _check_ranks(t.dims, ranks, "section sizes")
-    trials = int(trials)
+    trials = _as_int(trials, "trials")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
 
@@ -276,7 +274,7 @@ def select_indices(
     return selection
 
 
-def fit_core_full(t: DenseTensor3, factors, pinv_tol: float | None = None) -> DenseTensor3:
+def fit_core_full(t: DenseTensor3, factors) -> DenseTensor3:
     """Least-squares core for fixed factors, fitted over every entry.
 
     Because the factors enter mode by mode, the normal equations separate
@@ -284,15 +282,10 @@ def fit_core_full(t: DenseTensor3, factors, pinv_tol: float | None = None) -> De
     with the pseudoinverse of each factor's transpose.
     """
     facs = _check_factors(factors, t.dims, 1, "tensor")
-    return DenseTensor3(_multilinear(t.data, [pinv(f.T, pinv_tol) for f in facs]))
+    return DenseTensor3(_multilinear(t.data, [pinv(f.T) for f in facs]))
 
 
-def fit_core_cross(
-    t: DenseTensor3,
-    factors,
-    sel: IndexSelection,
-    pinv_tol: float | None = None,
-) -> DenseTensor3:
+def fit_core_cross(t: DenseTensor3, factors, sel: IndexSelection) -> DenseTensor3:
     """Least-squares core fitted only on the entries of the cross sections.
 
     The fit runs over the union of the three sections induced by ``sel``
@@ -319,6 +312,6 @@ def fit_core_cross(
             RankDeficientDesignWarning,
             stacklevel=2,
         )
-    sol = pinv(design, pinv_tol) @ rhs
+    sol = pinv(design) @ rhs
     dims = (f1.shape[0], f2.shape[0], f3.shape[0])
     return DenseTensor3(sol.reshape(dims))

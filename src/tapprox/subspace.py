@@ -74,10 +74,6 @@ class SubspaceTriple:
     def ambient_dims(self) -> tuple[int, int, int]:
         return (self.x.ambient_dim, self.y.ambient_dim, self.z.ambient_dim)
 
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return (self.x.dim, self.y.dim, self.z.dim)
-
 
 def _check_triple(t: DenseTensor3, s: SubspaceTriple) -> None:
     if s.ambient_dims != t.dims:
@@ -90,8 +86,9 @@ def coefficient_tensor(t: DenseTensor3, s: SubspaceTriple) -> DenseTensor3:
     """Coordinates of the projection of ``t`` in the frames of ``s``.
 
     Entry ``(a, b, c)`` is the inner product of ``t`` with the rank-one
-    tensor ``x_a (x) y_b (x) z_c`` of the frames' columns: the result, of shape
-    ``s.dims``, is the multilinear product of ``t`` with the transposed frames.
+    tensor ``x_a (x) y_b (x) z_c`` of the frames' columns: the result, of
+    shape ``(s.x.dim, s.y.dim, s.z.dim)``, is the multilinear product of
+    ``t`` with the transposed frames.
     """
     _check_triple(t, s)
     return DenseTensor3(_multilinear(t.data, (s.x.frame.T, s.y.frame.T, s.z.frame.T)))

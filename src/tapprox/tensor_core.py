@@ -9,6 +9,7 @@ indices in code are 0-based like the rest of Python.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -72,9 +73,17 @@ class DenseTensor3:
         return f"DenseTensor3(dims=({m1}, {m2}, {m3}))"
 
 
+def _as_int(value, name: str) -> int:
+    """``value`` as an int by ``operator.index``: 2.9 is refused, not truncated to 2."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name}: {value!r} is not an int") from None
+
+
 def _three_positive_ints(values, name: str) -> tuple[int, int, int]:
     """``values`` as a tuple of three ints, each at least 1."""
-    out = tuple(int(v) for v in values)
+    out = tuple(_as_int(v, name) for v in values)
     if len(out) != 3 or min(out) < 1:
         raise ValueError(f"{name} must be three positive ints, got {out}")
     return out  # type: ignore[return-value]
@@ -188,6 +197,8 @@ def _checked_norm(t: DenseTensor3) -> float:
 
 def _rank_cutoff(s: np.ndarray, shape, tol: float | None = None) -> int:
     """Rank by :func:`numerical_rank`'s cutoff; ``s`` decreases, so it keeps ``s[:rank]``."""
+    if tol is not None and not tol >= 0.0:  # < 0 keeps every value, NaN none
+        raise ValueError(f"rank tolerance must be >= 0, got {tol}")
     if s.size == 0 or s[0] <= 0.0:
         return 0
     if tol is None:
@@ -199,17 +210,16 @@ def numerical_rank(m, rank_tol: float | None = None) -> int:
     """Numerical rank of a matrix: singular values above a relative cutoff.
 
     Counts singular values strictly greater than ``rank_tol * sigma_max``.
-    The default ``rank_tol`` is ``max(rows, cols) * machine_eps``.
+    The default ``rank_tol`` is ``max(rows, cols) * machine_eps``; a
+    negative or NaN ``rank_tol`` is rejected.
     """
     arr = _float_array(m)
     return _rank_cutoff(np.linalg.svd(arr, compute_uv=False), arr.shape, rank_tol)
 
 
-def multilinear_rank(
-    t: DenseTensor3, rank_tol: float | None = None
-) -> tuple[int, int, int]:
+def multilinear_rank(t: DenseTensor3) -> tuple[int, int, int]:
     """Numerical ranks of the three unfoldings ``(rank_1, rank_2, rank_3)``."""
-    return tuple(numerical_rank(unfold(t, j), rank_tol) for j in _MODES)  # type: ignore[return-value]
+    return tuple(numerical_rank(unfold(t, j)) for j in _MODES)  # type: ignore[return-value]
 
 
 @dataclass(frozen=True, eq=False)

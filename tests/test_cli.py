@@ -426,7 +426,7 @@ def test_flrta_rejects_negative_pinv_tol(tmp_path, capsys):
         rc, out, err = run_cli(capsys, ["flrta", f, "3", "3", "3", prefix, "--pinv-tol", tol])
         assert rc == 1
         assert out == ""
-        assert err.splitlines()[-1].startswith("error:") and "pinv" in err
+        assert err.splitlines()[-1].startswith("error:") and "tolerance" in err
         assert not os.path.exists(prefix + ".report.txt")
 
 
@@ -549,6 +549,19 @@ def test_gen_beyond_memory_is_a_one_line_error(tmp_path, capsys):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("noise", ["1e160", "1e308"])
+def test_gen_out_of_range_norm_is_a_one_line_error(tmp_path, capsys, noise):
+    # 1e160 gives finite entries whose squared norm overflows; 1e308
+    # overflows the entries themselves.
+    out_file = tmp_path / "big.t3"
+    rc, out, err = run_cli(
+        capsys, ["gen", str(out_file), "--dims", "3,3,3", "--mlrank", "1,1,1", "--noise", noise]
+    )
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out_file.exists()
+
+
 def test_memory_error_is_a_one_line_error(tmp_path, capsys, monkeypatch):
     f = str(tmp_path / "t.t3")
     write_tensor_file(f, DenseTensor3(np.ones((2, 2, 2))))
@@ -601,6 +614,28 @@ def test_invalid_env_seed_is_an_error(tmp_path, capsys, monkeypatch):
     )
     assert rc == 1
     assert "TAPPROX_SEED" in err
+
+
+@pytest.mark.parametrize("source", ["--seed", "TAPPROX_SEED"])
+@pytest.mark.parametrize("command", ["gen", "bsta", "flrta", "bench"])
+def test_negative_seed_is_a_one_line_error(tmp_path, capsys, monkeypatch, command, source):
+    f = str(tmp_path / "t.t3")
+    write_tensor_file(f, random_tensor(np.random.default_rng(0), (4, 4, 4)))
+    argv = {
+        "gen": ["gen", str(tmp_path / "g.t3"), "--dims", "4,4,4", "--mlrank", "2,2,2"],
+        "bsta": ["bsta", f, "2", "2", "2", str(tmp_path / "o")],
+        "flrta": ["flrta", f, "2", "2", "2", str(tmp_path / "o")],
+        "bench": ["bench", f, "2,2,2"],
+    }[command]
+    if source == "--seed":
+        argv += ["--seed", "-1"]
+    else:
+        monkeypatch.setenv(source, "-1")
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert source in err
+    assert os.listdir(tmp_path) == ["t.t3"]
 
 
 def test_missing_file_gives_one_line_diagnostic(capsys):

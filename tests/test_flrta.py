@@ -126,11 +126,15 @@ def test_pinv_tolerance_cuts_small_singular_values():
 
 @pytest.mark.parametrize("tol", [-1.0, -1e-300, float("nan")])
 def test_pinv_rejects_negative_or_nan_tolerance(tol):
-    with pytest.raises(ValueError, match="pinv tolerance"):
+    with pytest.raises(ValueError, match="rank tolerance"):
         pinv(np.eye(3), tol=tol)
     t = DenseTensor3(np.ones((2, 2, 2)))
-    with pytest.raises(ValueError, match="pinv tolerance"):
+    with pytest.raises(ValueError, match="rank tolerance"):
         flrta_approx(t, IndexSelection(t.dims, (0,), (0,), (0,)), pinv_tol=tol)
+    # The same cutoff counts ranks: -1 would count the zero singular value.
+    for m in (np.diag([1.0, 0.0]), np.zeros((2, 2))):
+        with pytest.raises(ValueError, match="rank tolerance"):
+            numerical_rank(m, tol)
 
 
 def test_slice_cross_is_exact_on_matching_rank():

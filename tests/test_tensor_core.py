@@ -3,10 +3,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from tapprox import (
+    BstaOptions,
     DenseTensor3,
+    IndexSelection,
+    bsta_solve,
     fold,
     hs_norm,
     multilinear_rank,
+    select_indices,
     unfold,
 )
 from tapprox.tensor_core import numerical_rank
@@ -78,6 +82,45 @@ def test_from_flat_rejects_wrong_count():
     for dims, count in (((10**7,) * 3, 10**21), ((2**32, 2**32, 1), 2**64)):
         with pytest.raises(ValueError, match=f"expected {count} values"):
             DenseTensor3.from_flat(np.arange(7.0), dims)
+
+
+# Each size below used to be truncated by int(): 1.9 ran as 1, 2.99 as 2.
+_T333 = DenseTensor3(np.arange(27.0).reshape(3, 3, 3))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: BstaOptions(target_ranks=(1.9, 1, 1)),
+        lambda: bsta_solve(_T333, BstaOptions(target_ranks=(2.99, 2, 2))),
+        lambda: BstaOptions(target_ranks=(1, 1, 1), max_sweeps=2.9),
+        lambda: DenseTensor3.from_flat(np.zeros(8), (2.0, 2.9, 2)),
+        lambda: fold(np.zeros((2, 4)), 1, (2, 2, 2.5)),
+        lambda: IndexSelection((3, 3, 3), (1.7,), (0,), (2.2,)),
+        lambda: IndexSelection((3.0, 3, 3), (1,), (0,), (2,)),
+        lambda: select_indices(_T333, (1.5, 1, 1)),
+        lambda: select_indices(_T333, (1, 1, 1), trials=2.5),
+    ],
+    ids=[
+        "target_ranks", "bsta_solve", "max_sweeps", "from_flat", "fold",
+        "index_sets", "selection_dims", "section_sizes", "trials",
+    ],
+)
+def test_non_integral_sizes_are_refused_not_truncated(call):
+    with pytest.raises(ValueError) as exc_info:
+        call()
+    assert "\n" not in str(exc_info.value)
+
+
+def test_numpy_integer_sizes_still_pass():
+    i = np.int64
+    opts = BstaOptions(target_ranks=np.array([2, 1, 1]), max_sweeps=i(3))
+    assert opts.target_ranks == (2, 1, 1) and opts.max_sweeps == 3
+    assert type(opts.max_sweeps) is int
+    assert DenseTensor3.from_flat(np.zeros(8), (i(2), i(2), i(2))).dims == (2, 2, 2)
+    sel = IndexSelection((i(3), 3, 3), (i(2), i(0)), (i(1),), (i(2),))
+    assert sel.dims == (3, 3, 3) and sel.i_set == (0, 2)
+    assert select_indices(_T333, (i(1), 1, 1), trials=i(2)).sizes == (1, 1, 1)
 
 
 # ---------------------------------------------------------------------------
