@@ -35,6 +35,7 @@ from .tensor_core import (
     _check_mode,
     _check_ranks,
     _checked_norm,
+    _seed,
     _three_positive_ints,
     fold,
     hs_norm,
@@ -67,7 +68,7 @@ class BstaOptions:
         ``"hosvd"`` (dominant singular frames of the unfoldings) or
         ``"random"`` (seeded random orthonormal frames).
     seed : int
-        Seed for the random initialization.
+        Seed for the random initialization; a non-negative int.
     crit_tol : float
         Threshold for the critical-point certificate.
     """
@@ -86,6 +87,7 @@ class BstaOptions:
         if sweeps < 1:
             raise ValueError(f"max_sweeps must be >= 1, got {sweeps}")
         object.__setattr__(self, "max_sweeps", sweeps)
+        object.__setattr__(self, "seed", _seed(self.seed))
         if not (self.rel_tol > 0.0):
             raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
         if not (self.crit_tol > 0.0):
@@ -167,11 +169,10 @@ def _complete_frame(frame: np.ndarray, k: int) -> np.ndarray:
     """Pad an orthonormal frame to ``k`` columns with standard basis directions.
 
     Basis vectors are tried in index order and orthogonalized against the
-    columns collected so far, so the result is deterministic.
+    columns collected so far, so the result is deterministic.  A frame with
+    ``k`` columns comes back as is; callers keep ``k`` at most the row count.
     """
     m = frame.shape[0]
-    if k > m:
-        raise ValueError(f"cannot build {k} orthonormal columns in dimension {m}")
     cols = frame
     for i in range(m):
         if cols.shape[1] == k:
@@ -183,8 +184,6 @@ def _complete_frame(frame: np.ndarray, k: int) -> np.ndarray:
         nrm = float(np.linalg.norm(r))
         if nrm > 1e-8:
             cols = np.hstack([cols, (r / nrm)[:, None]])
-    if cols.shape[1] < k:
-        raise np.linalg.LinAlgError("frame completion failed to reach the requested dimension")
     return cols
 
 
@@ -202,7 +201,7 @@ def _dominant_left_frame(m: np.ndarray, k: int, prev: np.ndarray | None = None) 
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     avail = u.shape[1]
     if k >= avail:
-        return u if k == avail else _complete_frame(u, k)
+        return _complete_frame(u, k)
     plain = u[:, :k]
     if prev is None:
         return plain
@@ -230,7 +229,7 @@ def random_triple(
     dims: tuple[int, int, int], ranks: tuple[int, int, int], seed=0
 ) -> SubspaceTriple:
     """Seeded random subspace triple (orthonormalized Gaussian frames)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     frames = []
     for m, k in zip(dims, _check_ranks(dims, ranks)):
         q, _ = np.linalg.qr(rng.standard_normal((m, k)))
@@ -280,7 +279,7 @@ def relaxation_sweep(
     the objective history monotonically.
     """
     _check_triple(t, s)
-    subs = [s.x, s.y, s.z]
+    subs = list(s)
     objectives = []
     for j in range(3):
         m = projected_operator(t, j + 1, *(subs[k] for k in range(3) if k != j))
@@ -313,12 +312,11 @@ def verify_critical_point(
     operator that overflowed) fails the certificate.
     """
     _check_triple(t, s)
-    subs = (s.x, s.y, s.z)
     rels = []
     for j in range(3):
-        m = projected_operator(t, j + 1, *(subs[k] for k in range(3) if k != j))
+        m = projected_operator(t, j + 1, *(s[k] for k in range(3) if k != j))
         m = np.ldexp(m, -np.frexp(np.max(np.abs(m)))[1])
-        f = subs[j].frame
+        f = s[j].frame
         gf = m @ (m.T @ f)
         resid = gf - f @ (f.T @ gf)
         small_gram = m.T @ m if m.shape[0] > m.shape[1] else m @ m.T
@@ -344,9 +342,7 @@ def _long_mode(dims, ranks) -> int | None:
 
 
 def _with_frame(s: SubspaceTriple, j: int, frame: np.ndarray) -> SubspaceTriple:
-    subs = [s.x, s.y, s.z]
-    subs[j] = Subspace(frame)
-    return SubspaceTriple(*subs)
+    return SubspaceTriple(*s[:j], Subspace(frame), *s[j + 1 :])
 
 
 def bsta_solve(t: DenseTensor3, opts: BstaOptions) -> BstaResult:
@@ -382,13 +378,10 @@ def bsta_solve(t: DenseTensor3, opts: BstaOptions) -> BstaResult:
         work = fold(sv[:, None] * vh, j + 1, core_dims)
 
     if opts.init == "hosvd":
-        s = hosvd_init(work, ranks)
-        obj = hs_norm(coefficient_tensor(work, s)) ** 2
-        sweep_on = work
+        s, sweep_on = hosvd_init(work, ranks), work
     else:
-        s = random_triple(t.dims, ranks, opts.seed)
-        obj = hs_norm(coefficient_tensor(t, s)) ** 2
-        sweep_on = t
+        s, sweep_on = random_triple(t.dims, ranks, opts.seed), t
+    obj = hs_norm(coefficient_tensor(sweep_on, s)) ** 2
 
     gain_floor = opts.rel_tol * max(norm**2, _TINY)
 
@@ -399,7 +392,7 @@ def bsta_solve(t: DenseTensor3, opts: BstaOptions) -> BstaResult:
         s, fs = relaxation_sweep(sweep_on, s)
         if sweep_on is not work:
             # After a sweep on t, the mode-j frame lies in the range of q.
-            s = _with_frame(s, j, np.linalg.qr(q.T @ (s.x, s.y, s.z)[j].frame)[0])
+            s = _with_frame(s, j, np.linalg.qr(q.T @ s[j].frame)[0])
             sweep_on = work
         sweeps += 1
         history.extend(fs)
@@ -410,7 +403,7 @@ def bsta_solve(t: DenseTensor3, opts: BstaOptions) -> BstaResult:
             break
 
     if j is not None:
-        s = _with_frame(s, j, q @ (s.x, s.y, s.z)[j].frame)
+        s = _with_frame(s, j, q @ s[j].frame)
     residual, certified = verify_critical_point(t, s, opts.crit_tol)
     tucker = _frames_tucker(t, s)
     # The direct residual norm agrees with sqrt(|t|^2 - objective) by

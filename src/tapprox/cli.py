@@ -40,6 +40,7 @@ from .tensor_core import (
     _checked_norm,
     _float_array,
     _multilinear,
+    _seed,
     hs_norm,
     multilinear_rank,
 )
@@ -217,9 +218,7 @@ def _resolve_seed(flag_value: int | None) -> int:
         seed = int(value)
     except ValueError:
         raise ValueError(f"{source} must be an integer, got {value!r}") from None
-    if seed < 0:
-        raise ValueError(f"{source} must be a non-negative integer, got {seed}")
-    return seed
+    return _seed(seed, source)
 
 
 def _rel_error(error: float, norm: float) -> float:
@@ -369,13 +368,14 @@ _METHODS = {
 def cmd_solve(args: argparse.Namespace) -> int:
     """Run ``bsta`` or ``flrta``: solve, write factors and core, report."""
     solve, suffixes, transposed = _METHODS[args.command]
+    seed = _resolve_seed(args.seed)
     prefix = args.out_prefix
     if not os.path.isdir(os.path.dirname(prefix) or "."):
         raise ValueError(f"the directory of output prefix {prefix!r} does not exist")
     t = read_tensor_file(args.file)
     norm = hs_norm(t)
     start = time.perf_counter()
-    sol = solve(t, norm, (args.p, args.q, args.r), _resolve_seed(args.seed), args)
+    sol = solve(t, norm, (args.p, args.q, args.r), seed, args)
     wall = time.perf_counter() - start
 
     for suffix, factor in zip(suffixes, sol.tucker.factors):
@@ -410,9 +410,9 @@ cmd_bsta = cmd_flrta = cmd_solve
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    seed = _resolve_seed(args.seed)
     t = read_tensor_file(args.file)
     norm = hs_norm(t)
-    seed = _resolve_seed(args.seed)
 
     rows = []
     for ranks in args.ranks:

@@ -29,6 +29,7 @@ from .tensor_core import (
     _float_array,
     _multilinear,
     _rank_cutoff,
+    _seed,
     _three_positive_ints,
     numerical_rank,
 )
@@ -106,12 +107,11 @@ class IndexSelection:
     @property
     def chosen_conditions(self) -> TrialConditions | None:
         """The trial record matching this selection, if a report is attached."""
-        if self.cond_report is None:
-            return None
-        for rec in self.cond_report:
-            if (rec.i_set, rec.j_set, rec.k_set) == (self.i_set, self.j_set, self.k_set):
-                return rec
-        return None
+        chosen = (self.i_set, self.j_set, self.k_set)
+        return next(
+            (rec for rec in self.cond_report or () if (rec.i_set, rec.j_set, rec.k_set) == chosen),
+            None,
+        )
 
 
 def pinv(m, tol: float | None = None) -> np.ndarray:
@@ -182,7 +182,10 @@ def flrta_approx(t: DenseTensor3, sel: IndexSelection, pinv_tol: float | None = 
     (``L`` is the image of ``I x J``).  Expanding both interpolations
     gives a Tucker form whose factors are exactly the three sections --
     only entries of ``t`` on the sections appear in the factors, and the
-    core is built from pseudoinverses of the small cross blocks.
+    core is built from pseudoinverses of the small cross blocks: with
+    ``P[k] = pinv(F_k[I, J])`` for the ``k``-th selected slice ``F_k`` and
+    ``W = pinv(c3[:, K])``, its only nonzeros are
+    ``core[j*r + k, i*r + k, :] = P[k, j, i] * W[k, :]``.
     """
     _checked_norm(t)
     s1, s2, s3 = sections(t, sel)
@@ -197,14 +200,12 @@ def flrta_approx(t: DenseTensor3, sel: IndexSelection, pinv_tol: float | None = 
 
     # Interpolation weights across mode 3, and within each selected slice.
     outer, slices = _cross_blocks(s3.data, sel.k_set)
-    w = pinv(outer, pinv_tol)  # (r, p*q)
-    core = np.zeros((q * r, p * r, p * q))
-    row_base = np.arange(q) * r
-    col_base = np.arange(p) * r
-    for kidx, block in enumerate(slices):
-        pk = pinv(block, pinv_tol)  # (q, p)
-        core[np.ix_(row_base + kidx, col_base + kidx)] = pk[:, :, None] * w[kidx][None, None, :]
-    return TuckerFactorization(DenseTensor3(core), (c1, c2, c3))
+    W = pinv(outer, pinv_tol)  # (r, p*q)
+    P = np.stack([pinv(block, pinv_tol) for block in slices])  # (r, q, p)
+    ar = np.arange(r)
+    core = np.zeros((q, r, p, r, p * q))
+    core[:, ar, :, ar, :] = P[..., None] * W[:, None, None, :]
+    return TuckerFactorization(DenseTensor3(core.reshape(q * r, p * r, p * q)), (c1, c2, c3))
 
 
 def _condition_number(m: np.ndarray) -> float:
@@ -240,16 +241,12 @@ def select_indices(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
 
-    rng = np.random.default_rng(seed)
-    cands = []
+    rng = np.random.default_rng(_seed(seed))
+    records = []
     for _ in range(trials):
         ii = tuple(sorted(rng.choice(l1, size=p, replace=False).tolist()))
         jj = tuple(sorted(rng.choice(l2, size=q, replace=False).tolist()))
         kk = tuple(sorted(rng.choice(l3, size=r, replace=False).tolist()))
-        cands.append((ii, jj, kk))
-
-    records = []
-    for ii, jj, kk in cands:
         outer, slices = _cross_blocks(t.data[np.ix_(ii, jj)], kk)
         cond_slices = tuple(_condition_number(block) for block in slices)
         records.append(TrialConditions(ii, jj, kk, _condition_number(outer), cond_slices))

@@ -8,7 +8,7 @@ approximation solvers are built from.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,9 +62,8 @@ class Subspace:
         return f"Subspace(ambient_dim={self.ambient_dim}, dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class SubspaceTriple:
-    """One subspace per tensor mode."""
+class SubspaceTriple(NamedTuple):
+    """One subspace per tensor mode; ``s[j]`` is mode ``j + 1``'s."""
 
     x: Subspace
     y: Subspace
@@ -72,7 +71,7 @@ class SubspaceTriple:
 
     @property
     def ambient_dims(self) -> tuple[int, int, int]:
-        return (self.x.ambient_dim, self.y.ambient_dim, self.z.ambient_dim)
+        return tuple(sub.ambient_dim for sub in self)  # type: ignore[return-value]
 
 
 def _check_triple(t: DenseTensor3, s: SubspaceTriple) -> None:
@@ -91,14 +90,12 @@ def coefficient_tensor(t: DenseTensor3, s: SubspaceTriple) -> DenseTensor3:
     ``t`` with the transposed frames.
     """
     _check_triple(t, s)
-    return DenseTensor3(_multilinear(t.data, (s.x.frame.T, s.y.frame.T, s.z.frame.T)))
+    return DenseTensor3(_multilinear(t.data, [sub.frame.T for sub in s]))
 
 
 def _frames_tucker(t: DenseTensor3, s: SubspaceTriple) -> TuckerFactorization:
     """The coefficient tensor as core and the transposed frames (views) as factors."""
-    return TuckerFactorization(
-        coefficient_tensor(t, s), (s.x.frame.T, s.y.frame.T, s.z.frame.T)
-    )
+    return TuckerFactorization(coefficient_tensor(t, s), tuple(sub.frame.T for sub in s))
 
 
 def project(t: DenseTensor3, s: SubspaceTriple) -> DenseTensor3:

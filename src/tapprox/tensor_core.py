@@ -81,6 +81,14 @@ def _as_int(value, name: str) -> int:
         raise ValueError(f"{name}: {value!r} is not an int") from None
 
 
+def _seed(value, name: str = "seed") -> int:
+    """``value`` as a random seed: an int by :func:`_as_int`, and not negative."""
+    seed = _as_int(value, name)
+    if seed < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _three_positive_ints(values, name: str) -> tuple[int, int, int]:
     """``values`` as a tuple of three ints, each at least 1."""
     out = tuple(_as_int(v, name) for v in values)

@@ -20,6 +20,7 @@ from tapprox import (
     projected_operator,
     random_triple,
     relaxation_sweep,
+    select_indices,
     unfold,
     verify_critical_point,
 )
@@ -178,6 +179,25 @@ def test_random_triple_is_deterministic_per_seed():
     b = random_triple((5, 4, 3), (2, 2, 1), seed=9)
     for fa, fb in ((a.x, b.x), (a.y, b.y), (a.z, b.z)):
         assert np.array_equal(fa.frame, fb.frame)
+
+
+@pytest.mark.parametrize("seed", [-1, 2.9, None])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda seed: BstaOptions(target_ranks=(2, 2, 2), seed=seed),
+        lambda seed: random_triple((4, 4, 4), (2, 2, 2), seed=seed),
+        lambda seed: select_indices(
+            random_tensor(np.random.default_rng(0), (4, 4, 4)), (2, 2, 2), seed=seed
+        ),
+    ],
+    ids=["BstaOptions", "random_triple", "select_indices"],
+)
+def test_library_seeds_are_non_negative_ints(call, seed):
+    # None would draw fresh OS entropy: a run nobody could repeat.
+    with pytest.raises(ValueError, match=r"^seed\b") as exc_info:
+        call(seed)
+    assert "\n" not in str(exc_info.value)
 
 
 # ---------------------------------------------------------------------------

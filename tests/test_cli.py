@@ -638,6 +638,23 @@ def test_negative_seed_is_a_one_line_error(tmp_path, capsys, monkeypatch, comman
     assert os.listdir(tmp_path) == ["t.t3"]
 
 
+@pytest.mark.parametrize("command", ["bsta", "flrta", "bench"])
+def test_seed_is_checked_before_the_tensor_file_is_read(tmp_path, capsys, monkeypatch, command):
+    def read_tensor_file(path):
+        raise AssertionError(f"{path} was read before the seed was checked")
+
+    monkeypatch.setattr("tapprox.cli.read_tensor_file", read_tensor_file)
+    f = str(tmp_path / "missing.t3")
+    argv = {
+        "bsta": ["bsta", f, "2", "2", "2", str(tmp_path / "o")],
+        "flrta": ["flrta", f, "2", "2", "2", str(tmp_path / "o")],
+        "bench": ["bench", f, "2,2,2"],
+    }[command]
+    rc, out, err = run_cli(capsys, argv + ["--seed", "-1"])
+    assert (rc, out) == (1, "")
+    assert err == "error: --seed must be a non-negative integer, got -1\n"
+
+
 def test_missing_file_gives_one_line_diagnostic(capsys):
     rc, out, err = run_cli(capsys, ["info", "/nonexistent/file.t3"])
     assert rc == 1

@@ -374,6 +374,28 @@ def test_pinv_keeps_exactly_the_numerical_rank(factors, tol, scale, zero):
 
 
 # ---------------------------------------------------------------------------
+# the FLRTA core's block layout
+
+@settings(max_examples=80, deadline=None)
+@given(_selection_cases(), st.integers(0, 2**16))
+def test_flrta_core_holds_the_pinv_blocks_times_the_interpolation_rows(case, seed):
+    t, sizes = case
+    rng = np.random.default_rng(seed)
+    sets = (rng.choice(m, size=k, replace=False) for m, k in zip(t.dims, sizes))
+    sel = IndexSelection(t.dims, *sets)
+    p, q, r = sel.sizes
+    fibers = t.data[np.ix_(sel.i_set, sel.j_set)]  # (p, q, m3)
+    w = pinv(fibers.reshape(p * q, -1)[:, sel.k_set])  # (r, p*q)
+    expected = np.zeros((q * r, p * r, p * q))
+    for k, kk in enumerate(sel.k_set):
+        pk = pinv(fibers[:, :, kk])  # (q, p)
+        for j in range(q):
+            for i in range(p):
+                expected[j * r + k, i * r + k, :] = pk[j, i] * w[k, :]
+    assert np.array_equal(flrta_approx(t, sel).core.data, expected)
+
+
+# ---------------------------------------------------------------------------
 # core fitting
 
 def test_fit_core_full_with_identity_factors_returns_the_tensor():

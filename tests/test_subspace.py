@@ -68,6 +68,9 @@ def test_coefficient_tensor_of_rank_one_tensor():
         Subspace((v / np.linalg.norm(v))[:, None]),
         Subspace((w / np.linalg.norm(w))[:, None]),
     )
+    assert tuple(s) == (s.x, s.y, s.z)
+    assert (s[0], s[1], s[2]) == (s.x, s.y, s.z)
+    assert s.ambient_dims == (2, 3, 2)
     c = coefficient_tensor(t, s)
     assert c.dims == (1, 1, 1)
     assert_allclose(abs(c.data[0, 0, 0]), 5.0 * 3.0 * 5.0, rtol=1e-14)
