@@ -25,7 +25,7 @@ from .subspace import (
     _check_triple,
     _frames_tucker,
     coefficient_tensor,
-    project,
+    distance,
 )
 from .tensor_core import (
     _TINY,
@@ -37,6 +37,7 @@ from .tensor_core import (
     _checked_norm,
     _seed,
     _three_positive_ints,
+    _tolerance,
     fold,
     hs_norm,
     unfold,
@@ -88,10 +89,8 @@ class BstaOptions:
             raise ValueError(f"max_sweeps must be >= 1, got {sweeps}")
         object.__setattr__(self, "max_sweeps", sweeps)
         object.__setattr__(self, "seed", _seed(self.seed))
-        if not (self.rel_tol > 0.0):
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
-        if not (self.crit_tol > 0.0):
-            raise ValueError(f"crit_tol must be positive, got {self.crit_tol}")
+        _tolerance(self.rel_tol, "rel_tol", positive=True)
+        _tolerance(self.crit_tol, "crit_tol", positive=True)
         if self.init not in ("hosvd", "random"):
             raise ValueError(f"init must be 'hosvd' or 'random', got {self.init!r}")
 
@@ -102,8 +101,8 @@ class BstaResult:
 
     ``objective_history`` records the squared projection norm after every
     mode update (three entries per sweep) and is non-decreasing.
-    ``approx_error`` is the distance from the input to the final product
-    subspace, so ``approx_error**2 + objective_history[-1]`` equals the
+    ``approx_error`` is :func:`~.subspace.distance` from the input to the final
+    product subspace, so ``approx_error**2 + objective_history[-1]`` equals the
     squared norm of the input.  ``stop_reason`` says why the sweep loop
     ended: ``"gain"`` when a full sweep gained less than the floor set by
     ``rel_tol``, ``"max_sweeps"`` when the sweep budget ran out first.
@@ -311,6 +310,7 @@ def verify_critical_point(
     formula is safe it gives the same bits.  A NaN residual (from an
     operator that overflowed) fails the certificate.
     """
+    _tolerance(tol, "tol", positive=True)
     _check_triple(t, s)
     rels = []
     for j in range(3):
@@ -405,16 +405,11 @@ def bsta_solve(t: DenseTensor3, opts: BstaOptions) -> BstaResult:
     if j is not None:
         s = _with_frame(s, j, q @ s[j].frame)
     residual, certified = verify_critical_point(t, s, opts.crit_tol)
-    tucker = _frames_tucker(t, s)
-    # The direct residual norm agrees with sqrt(|t|^2 - objective) by
-    # Pythagoras but avoids the sqrt(eps) cancellation floor of the
-    # subtraction when the approximation is (near-)exact.
-    approx_error = float(np.linalg.norm(t.data - project(t, s).data))
     return BstaResult(
         subspaces=s,
-        tucker=tucker,
+        tucker=_frames_tucker(t, s),
         objective_history=history,
-        approx_error=approx_error,
+        approx_error=distance(t, s),
         sweeps=sweeps,
         stop_reason=stop_reason,
         converged=stop_reason == "gain" and certified,

@@ -27,6 +27,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,7 @@ from .tensor_core import (
     _float_array,
     _multilinear,
     _seed,
+    _tolerance,
     hs_norm,
     multilinear_rank,
 )
@@ -244,10 +246,7 @@ def cmd_info(args: argparse.Namespace) -> int:
 def cmd_gen(args: argparse.Namespace) -> int:
     dims, mlrank = args.dims, args.mlrank
     _check_ranks(dims, mlrank, "mlrank")
-    if not (np.isfinite(args.noise) and args.noise >= 0.0):
-        raise ValueError(
-            f"noise standard deviation must be finite and >= 0, got {args.noise}"
-        )
+    _tolerance(args.noise, "noise standard deviation")
     # Refuse dims that no array can hold before drawing anything.
     _empty_values(math.prod(dims), f"dims {_fmt_dims(dims)}")
     seed = _resolve_seed(args.seed)
@@ -495,13 +494,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, *_) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # A warning prints as one line, like an error.  The package warns with
+    # RuntimeWarnings, shown once per message as by default; the filter and
+    # the printer are restored on return, so library callers never see them.
+    with warnings.catch_warnings():
+        warnings.simplefilter("default", RuntimeWarning)
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except (ValueError, OSError, RuntimeError, MemoryError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

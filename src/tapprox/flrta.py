@@ -31,7 +31,6 @@ from .tensor_core import (
     _rank_cutoff,
     _seed,
     _three_positive_ints,
-    numerical_rank,
 )
 
 DEFAULT_TRIALS = 20
@@ -119,7 +118,7 @@ def pinv(m, tol: float | None = None) -> np.ndarray:
 
     Singular values at or below ``tol * sigma_max`` are treated as zero;
     the default ``tol`` is ``max(rows, cols) * machine_eps``, and a
-    negative or NaN ``tol`` is rejected.
+    negative, infinite or NaN ``tol`` is rejected.
     """
     arr = _float_array(m)
     u, s, vh = np.linalg.svd(arr, full_matrices=False)
@@ -302,13 +301,16 @@ def fit_core_cross(t: DenseTensor3, factors, sel: IndexSelection) -> DenseTensor
         "as,bs,cs->sabc", f1[:, ci], f2[:, cj], f3[:, ck], optimize=True
     ).reshape(ci.size, -1)
     rhs = t.data[ci, cj, ck]
-    if numerical_rank(design) < design.shape[1]:
+    # One thin SVD gives both the rank test and the minimum-norm solve.
+    u, s, vh = np.linalg.svd(design, full_matrices=False)
+    rank = _rank_cutoff(s, design.shape)
+    if rank < design.shape[1]:
         warnings.warn(
             "sampled design matrix is rank deficient; returning the "
             "minimum-norm core",
             RankDeficientDesignWarning,
             stacklevel=2,
         )
-    sol = pinv(design) @ rhs
+    sol = vh[:rank].T @ ((u[:, :rank].T @ rhs) / s[:rank])
     dims = (f1.shape[0], f2.shape[0], f3.shape[0])
     return DenseTensor3(sol.reshape(dims))

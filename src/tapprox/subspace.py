@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tensor_core import DenseTensor3, TuckerFactorization, _float_array, _multilinear, hs_norm
+from .tensor_core import DenseTensor3, TuckerFactorization, _float_array, _multilinear
 
 #: Per-entry tolerance for accepting a frame as orthonormal.
 ORTHO_TOL = 1e-10
@@ -109,9 +109,7 @@ def project(t: DenseTensor3, s: SubspaceTriple) -> DenseTensor3:
 def distance(t: DenseTensor3, s: SubspaceTriple) -> float:
     """Distance from ``t`` to the tensor product of the triple ``s``.
 
-    By Pythagoras this equals ``sqrt(|t|^2 - |coefficient_tensor|^2)``;
-    the radicand is clamped at zero to absorb roundoff.
+    The norm of ``t - project(t, s)``, at the cost of one projection.  Pythagoras'
+    ``sqrt(|t|^2 - |coefficient_tensor|^2)`` loses all below ``sqrt(eps) * |t|``.
     """
-    c = coefficient_tensor(t, s)
-    radicand = hs_norm(t) ** 2 - hs_norm(c) ** 2
-    return float(np.sqrt(max(radicand, 0.0)))
+    return float(np.linalg.norm(t.data - project(t, s).data))

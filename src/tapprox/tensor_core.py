@@ -203,14 +203,21 @@ def _checked_norm(t: DenseTensor3) -> float:
     )
 
 
+def _tolerance(value, name: str, positive: bool = False):
+    """``value`` unchanged when it is finite and ``>= 0`` (``> 0`` with ``positive``).
+
+    The one tolerance rule: an infinite or NaN tolerance would accept or cut everything.
+    """
+    if math.isfinite(value) and (value > 0.0 if positive else value >= 0.0):
+        return value
+    raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value}")
+
+
 def _rank_cutoff(s: np.ndarray, shape, tol: float | None = None) -> int:
     """Rank by :func:`numerical_rank`'s cutoff; ``s`` decreases, so it keeps ``s[:rank]``."""
-    if tol is not None and not tol >= 0.0:  # < 0 keeps every value, NaN none
-        raise ValueError(f"rank tolerance must be >= 0, got {tol}")
+    tol = max(shape) * _EPS if tol is None else _tolerance(tol, "rank tolerance")
     if s.size == 0 or s[0] <= 0.0:
         return 0
-    if tol is None:
-        tol = max(shape) * _EPS
     return int(np.count_nonzero(s > tol * s[0]))
 
 
@@ -219,7 +226,7 @@ def numerical_rank(m, rank_tol: float | None = None) -> int:
 
     Counts singular values strictly greater than ``rank_tol * sigma_max``.
     The default ``rank_tol`` is ``max(rows, cols) * machine_eps``; a
-    negative or NaN ``rank_tol`` is rejected.
+    negative, infinite or NaN ``rank_tol`` is rejected.
     """
     arr = _float_array(m)
     return _rank_cutoff(np.linalg.svd(arr, compute_uv=False), arr.shape, rank_tol)

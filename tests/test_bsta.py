@@ -14,6 +14,7 @@ from tapprox import (
     SubspaceTriple,
     bsta_solve,
     coefficient_tensor,
+    distance,
     hosvd_init,
     hs_norm,
     project,
@@ -131,17 +132,16 @@ def test_projected_operator_checks_ambient_dims():
 # initialization
 
 def test_hosvd_init_recovers_an_exact_product():
-    # The direct residual, not distance(): distance() goes through
-    # Pythagoras, which bottoms out near sqrt(machine eps).  The (12, 2, 3)
-    # tensor has a tall mode-1 unfolding (12 x 6), the other unfoldings
-    # are wide, so both ways of finding a frame are covered.
+    # distance() is the direct residual, so it has no sqrt(machine eps)
+    # floor.  The (12, 2, 3) tensor has a tall mode-1 unfolding (12 x 6),
+    # the other unfoldings are wide, so both ways of finding a frame are
+    # covered.
     for seed in range(82, 92):
         rng = np.random.default_rng(seed)
         for dims, ranks in (((6, 5, 4), (2, 2, 3)), ((12, 2, 3), (3, 2, 3))):
             t = tucker_tensor(rng, dims, ranks)
             s = hosvd_init(t, ranks)
-            gap = np.linalg.norm(t.data - project(t, s).data)
-            assert gap <= 1e-10 * hs_norm(t), (seed, dims)
+            assert distance(t, s) <= 1e-10 * hs_norm(t), (seed, dims)
 
 
 @settings(max_examples=60, deadline=None)
@@ -598,6 +598,15 @@ def test_tucker_result_is_the_projection(case):
     assert tucker.dims == t.dims
     expected = tucker.core.size + sum(m * k for m, k in zip(t.dims, ranks))
     assert tucker.storage_count() == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(tensor_and_ranks(), st.sampled_from(["hosvd", "random"]))
+def test_reported_error_is_the_distance(case, init):
+    t, ranks = case
+    res = bsta_solve(t, BstaOptions(target_ranks=ranks, init=init, seed=3))
+    # One residual formula: the solver reports distance() to the bit.
+    assert res.approx_error == distance(t, res.subspaces)
 
 
 def test_tucker_factors_are_views_of_the_frames():

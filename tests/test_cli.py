@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -428,6 +429,60 @@ def test_flrta_rejects_negative_pinv_tol(tmp_path, capsys):
         assert out == ""
         assert err.splitlines()[-1].startswith("error:") and "tolerance" in err
         assert not os.path.exists(prefix + ".report.txt")
+
+
+@pytest.mark.parametrize(
+    "method, flags, message",
+    [
+        ("bsta", ["--crit-tol", "inf"], "crit_tol must be finite and > 0, got inf"),
+        # argparse reads 1e400 as inf without a word.
+        ("bsta", ["--rel-tol", "1e400"], "rel_tol must be finite and > 0, got inf"),
+        ("flrta", ["--pinv-tol", "inf"], "rank tolerance must be finite and >= 0, got inf"),
+    ],
+    ids=["crit-tol", "rel-tol", "pinv-tol"],
+)
+def test_infinite_tolerance_is_a_one_line_error(tmp_path, capsys, method, flags, message):
+    f = str(tmp_path / "t.t3")
+    write_tensor_file(f, random_tensor(np.random.default_rng(5), (5, 5, 5)))
+    rc, out, err = run_cli(capsys, [method, f, "2", "2", "2", str(tmp_path / "o"), *flags])
+    assert rc == 1 and out == ""
+    assert err == f"error: {message}\n"
+    assert os.listdir(tmp_path) == ["t.t3"]
+
+
+#: A 2x2x2 tensor whose every 2x2 cross is nearly singular (condition 4e9).
+_ILL_CONDITIONED = "t3 2 2 2\n1 2\n1 1\n1 1\n1.000000001 1\n"
+
+
+@pytest.mark.parametrize("command", ["flrta", "bench"])
+def test_library_warning_prints_as_one_line(tmp_path, capsys, monkeypatch, command):
+    f = tmp_path / "ill.t3"
+    f.write_text(_ILL_CONDITIONED, encoding="utf-8")
+    if command == "flrta":
+        argv = ["flrta", str(f), "2", "2", "2", str(tmp_path / "o")]
+    else:
+        argv = ["bench", str(f), "2,2,2", "1,1,1"]
+    before = (warnings.showwarning, list(warnings.filters))
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 0
+    assert (warnings.showwarning, list(warnings.filters)) == before
+    assert [line for line in err.splitlines() if not line.startswith("wall_time_s=")] == [
+        "warning: best selection is poorly conditioned (worst condition number 4.000e+09)"
+    ]
+
+    # The same run with the warning silenced at its source gives the same report.
+    def quiet_select(*args, **kwargs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return select_indices(*args, **kwargs)
+
+    monkeypatch.setattr("tapprox.cli.select_indices", quiet_select)
+    rc, quiet_out, quiet_err = run_cli(capsys, argv)
+    assert rc == 0 and "warning" not in quiet_err
+    if command == "flrta":
+        assert out == quiet_out
+    else:
+        assert parse_bench(out) == parse_bench(quiet_out)
 
 
 def test_flrta_is_deterministic(tmp_path, capsys):

@@ -159,8 +159,8 @@ def test_distance_zero_inside_the_product():
     inside = DenseTensor3(
         np.einsum("abc,ia,jb,kc->ijk", core, s.x.frame, s.y.frame, s.z.frame)
     )
-    # the norm-difference formula bottoms out around sqrt(machine eps)
-    assert distance(inside, s) <= 1e-7 * hs_norm(inside)
+    # the direct residual, free of the norm difference's sqrt(eps) floor
+    assert distance(inside, s) <= 1e-13 * hs_norm(inside)
     assert_allclose(project(inside, s).data, inside.data, rtol=1e-11, atol=1e-13)
 
 
@@ -187,8 +187,8 @@ def test_pythagoras_identity():
 
 
 def test_distance_radicand_is_clamped():
-    # A tensor lying inside the product can produce a tiny negative
-    # radicand through roundoff; the distance must still be real and ~0.
+    # A tensor lying inside the product gives a norm difference that can
+    # be a tiny negative number; the direct residual is real and ~0.
     rng = np.random.default_rng(69)
     for trial in range(20):
         s = random_subspace_triple(rng, (6, 6, 6), (3, 3, 3))
@@ -198,4 +198,4 @@ def test_distance_radicand_is_clamped():
         )
         d = distance(inside, s)
         assert np.isfinite(d) and d >= 0.0
-        assert d <= 1e-7 * hs_norm(inside)
+        assert d <= 1e-13 * hs_norm(inside)

@@ -6,12 +6,17 @@ from tapprox import (
     BstaOptions,
     DenseTensor3,
     IndexSelection,
+    Subspace,
+    SubspaceTriple,
     bsta_solve,
+    flrta_approx,
     fold,
     hs_norm,
     multilinear_rank,
+    pinv,
     select_indices,
     unfold,
+    verify_critical_point,
 )
 from tapprox.tensor_core import numerical_rank
 
@@ -226,3 +231,46 @@ def test_rank_tolerance_is_overridable():
     m = np.diag([1.0, 1e-9])
     assert numerical_rank(m) == 2
     assert numerical_rank(m, rank_tol=1e-6) == 1
+
+
+# ---------------------------------------------------------------------------
+# one tolerance rule
+
+_ONES = DenseTensor3(np.ones((2, 2, 2)))
+
+#: Per caller: the call, the name its message gives the tolerance, and
+#: whether the rule is positive (> 0) rather than non-negative (>= 0).
+_TOLERANCE_CALLERS = {
+    "BstaOptions.rel_tol": (lambda tol: BstaOptions((1, 1, 1), rel_tol=tol), "rel_tol", True),
+    "BstaOptions.crit_tol": (lambda tol: BstaOptions((1, 1, 1), crit_tol=tol), "crit_tol", True),
+    "verify_critical_point": (
+        lambda tol: verify_critical_point(
+            _ONES, SubspaceTriple(*[Subspace(np.eye(2)[:, :1])] * 3), tol
+        ),
+        "tol",
+        True,
+    ),
+    "pinv": (lambda tol: pinv(np.eye(3), tol), "rank tolerance", False),
+    "numerical_rank": (lambda tol: numerical_rank(np.eye(3), tol), "rank tolerance", False),
+    "flrta_approx": (
+        lambda tol: flrta_approx(_ONES, IndexSelection(_ONES.dims, (0,), (0,), (0,)), tol),
+        "rank tolerance",
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "caller, tol",
+    [
+        (caller, tol)
+        for caller, (_, _, positive) in _TOLERANCE_CALLERS.items()
+        for tol in (float("inf"), float("nan"), -1.0) + ((0.0,) if positive else ())
+    ],
+)
+def test_every_tolerance_must_be_finite(caller, tol):
+    call, name, positive = _TOLERANCE_CALLERS[caller]
+    with pytest.raises(ValueError) as info:
+        call(tol)
+    bound = "> 0" if positive else ">= 0"
+    assert str(info.value) == f"{name} must be finite and {bound}, got {tol}"
