@@ -47,11 +47,6 @@ DEFAULT_MAX_SWEEPS = 200
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_CRIT_TOL = 1e-6
 
-#: Relative spread below which neighbouring singular values are treated
-#: as tied when extracting a dominant frame.
-_TIE_RTOL = 1e-12
-
-
 @dataclass(frozen=True)
 class BstaOptions:
     """Knobs for :func:`bsta_solve`.
@@ -164,64 +159,18 @@ def projected_operator(t: DenseTensor3, mode: int, a: Subspace, b: Subspace) -> 
     return out.reshape(t.dims[ax], -1)
 
 
-def _complete_frame(frame: np.ndarray, k: int) -> np.ndarray:
-    """Pad an orthonormal frame to ``k`` columns with standard basis directions.
+def _dominant_left_frame(m: np.ndarray, k: int) -> np.ndarray:
+    """Orthonormal frame of the top ``k`` left singular vectors of ``m``.
 
-    Basis vectors are tried in index order and orthogonalized against the
-    columns collected so far, so the result is deterministic.  A frame with
-    ``k`` columns comes back as is; callers keep ``k`` at most the row count.
+    At a tie across the ``k`` boundary any dominant subspace is optimal, and
+    this returns the one the SVD orders first.  When ``m`` has fewer than ``k``
+    columns, one QR against ``e_1 .. e_k`` completes the frame with
+    zero-energy directions; callers keep ``k`` at most the row count.
     """
-    m = frame.shape[0]
-    cols = frame
-    for i in range(m):
-        if cols.shape[1] == k:
-            break
-        v = np.zeros(m)
-        v[i] = 1.0
-        r = v - cols @ (cols.T @ v)
-        r = r - cols @ (cols.T @ r)
-        nrm = float(np.linalg.norm(r))
-        if nrm > 1e-8:
-            cols = np.hstack([cols, (r / nrm)[:, None]])
-    return cols
-
-
-def _dominant_left_frame(m: np.ndarray, k: int, prev: np.ndarray | None = None) -> np.ndarray:
-    """Orthonormal frame for a dominant ``k``-dimensional left subspace of ``m``.
-
-    Returns the top ``k`` left singular vectors.  If the matrix has fewer
-    than ``k`` singular triplets the frame is completed with standard
-    basis directions.  When ``prev`` is given and the singular spectrum
-    is (numerically) tied across the ``k`` boundary, the tied directions
-    are rotated to maximize overlap with ``prev`` -- the choice of
-    dominant subspace is ambiguous there, and preferring the previous
-    frame keeps fixed points fixed.
-    """
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    avail = u.shape[1]
-    if k >= avail:
-        return _complete_frame(u, k)
-    plain = u[:, :k]
-    if prev is None:
-        return plain
-    tie_tol = _TIE_RTOL * s[0]
-    in_group = np.abs(s - s[k - 1]) <= tie_tol
-    lo = int(np.argmax(in_group))
-    hi = len(s) - 1 - int(np.argmax(in_group[::-1]))
-    if hi < k:
-        return plain
-    fixed = u[:, :lo]
-    w = u[:, lo : hi + 1]
-    need = k - lo
-    _, _, vh = np.linalg.svd(prev.T @ w, full_matrices=False)
-    rotated = np.hstack([fixed, w @ vh[:need].T])
-    # A near-tie (not an exact one) can trade a sliver of objective for
-    # continuity; never trade more than roundoff.
-    f_plain = float(np.sum(s[:k] ** 2))
-    f_rot = float(np.linalg.norm(rotated.T @ m) ** 2)
-    if f_rot >= f_plain - 1e-13 * max(f_plain, 1.0):
-        return rotated
-    return plain
+    u = np.linalg.svd(m, full_matrices=False)[0]
+    if u.shape[1] < k:
+        u = np.linalg.qr(np.hstack([u, np.eye(m.shape[0], k)]))[0]
+    return u[:, :k]
 
 
 def random_triple(
@@ -282,7 +231,7 @@ def relaxation_sweep(
     objectives = []
     for j in range(3):
         m = projected_operator(t, j + 1, *(subs[k] for k in range(3) if k != j))
-        subs[j] = Subspace(_dominant_left_frame(m, subs[j].dim, prev=subs[j].frame))
+        subs[j] = Subspace(_dominant_left_frame(m, subs[j].dim))
         objectives.append(float(np.linalg.norm(subs[j].frame.T @ m) ** 2))
     return SubspaceTriple(*subs), tuple(objectives)
 
@@ -331,8 +280,8 @@ def _long_mode(dims, ranks) -> int | None:
     A mode qualifies when it is longer than the product of the other two
     dims (so at most one mode can) and its rank is at most the product of
     the other two ranks.  A larger rank exceeds the column count of the
-    mode's projected operator, so part of its frame is standard-basis
-    padding, which would differ between the full and the compressed space.
+    mode's projected operator, so part of its frame is a zero-energy
+    completion, which would differ between the full and the compressed space.
     """
     for j in range(3):
         a, b = (k for k in range(3) if k != j)

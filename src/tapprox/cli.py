@@ -42,6 +42,7 @@ from .tensor_core import (
     _float_array,
     _multilinear,
     _seed,
+    _three_positive_ints,
     _tolerance,
     hs_norm,
     multilinear_rank,
@@ -244,7 +245,7 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    dims, mlrank = args.dims, args.mlrank
+    dims, mlrank = _three_positive_ints(args.dims, "dims"), args.mlrank
     _check_ranks(dims, mlrank, "mlrank")
     _tolerance(args.noise, "noise standard deviation")
     # Refuse dims that no array can hold before drawing anything.
@@ -369,6 +370,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     solve, suffixes, transposed = _METHODS[args.command]
     seed = _resolve_seed(args.seed)
     prefix = args.out_prefix
+    if not os.path.basename(prefix):
+        raise ValueError(f"output prefix {prefix!r} names no file; give one, as in 'out/run'")
     if not os.path.isdir(os.path.dirname(prefix) or "."):
         raise ValueError(f"the directory of output prefix {prefix!r} does not exist")
     t = read_tensor_file(args.file)

@@ -259,6 +259,20 @@ def test_sweep_is_frame_rotation_invariant():
         assert_allclose(fa, fb, rtol=1e-9)
 
 
+def test_completed_sweep_frame_captures_all_of_its_operator():
+    # Mode 1's operator has 1 * 2 columns, fewer than its rank 5, so the
+    # sweep completes its frame; the frame must still hold all of its energy.
+    rng = np.random.default_rng(90)
+    t = random_tensor(rng, (30, 3, 3))
+    s = random_subspace_triple(rng, (30, 3, 3), (5, 1, 2))
+    s1, fs = relaxation_sweep(t, s)
+    for sub, k in zip(s1, (5, 1, 2)):
+        assert sub.frame.shape[1] == k
+        assert_allclose(sub.frame.T @ sub.frame, np.eye(k), atol=1e-12)
+    energy = np.linalg.norm(projected_operator(t, 1, s.y, s.z)) ** 2
+    assert_allclose(fs[0], energy, rtol=1e-12)
+
+
 def test_sweep_checks_dimensions():
     t = DenseTensor3(np.zeros((3, 3, 3)))
     s = random_triple((4, 3, 3), (1, 1, 1), seed=0)
@@ -279,10 +293,14 @@ def test_full_ranks_give_zero_error_in_one_sweep():
     assert res.tucker.core.dims == (3, 4, 2)
 
 
-def test_exact_low_rank_tensor_is_recovered():
+@pytest.mark.parametrize("init", ["hosvd", "random"])
+@pytest.mark.parametrize("ranks", [(2, 3, 2), (3, 4, 3)], ids=["exact", "over"])
+def test_exact_low_rank_tensor_is_recovered(ranks, init):
+    # Over-specified ranks (3, 4, 3) exceed the multilinear rank, so zero
+    # singular values tie across each mode's k while the top one is positive.
     rng = np.random.default_rng(87)
     t = tucker_tensor(rng, (7, 8, 6), (2, 3, 2))
-    res = bsta_solve(t, BstaOptions(target_ranks=(2, 3, 2)))
+    res = bsta_solve(t, BstaOptions(target_ranks=ranks, init=init))
     assert res.approx_error <= 1e-8 * hs_norm(t)
     assert res.converged
     assert res.critical_point_residual <= 1e-6

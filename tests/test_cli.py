@@ -272,6 +272,15 @@ def test_gen_validates_mlrank(tmp_path, capsys):
         assert not out_file.exists()
 
 
+@pytest.mark.parametrize("dims", ["0,5,5", "-3,5,5"])
+def test_gen_blames_nonpositive_dims(tmp_path, capsys, dims):
+    out_file = tmp_path / "t.t3"
+    rc, out, err = run_cli(capsys, ["gen", str(out_file), f"--dims={dims}", "--mlrank", "1,1,1"])
+    assert rc == 1 and out == ""
+    assert err.startswith("error: dims must be") and err.count("\n") == 1, err
+    assert not out_file.exists()
+
+
 def test_info_reports_rank_and_norm(tmp_path, capsys):
     rng = np.random.default_rng(122)
     t = tucker_tensor(rng, (5, 4, 6), (2, 2, 2))
@@ -645,6 +654,27 @@ def test_missing_output_directory_fails_before_the_solve(tmp_path, capsys, monke
     assert rc == 1 and out == ""
     assert err == f"error: the directory of output prefix {prefix!r} does not exist\n"
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("method", ["bsta", "flrta"])
+@pytest.mark.parametrize("prefix", ["out/", ""])
+def test_prefix_without_a_file_name_fails_before_the_tensor_is_read(
+    tmp_path, capsys, monkeypatch, method, prefix
+):
+    # A prefix ending in a separator would write hidden files such as out/.core.t3.
+    write_tensor_file(str(tmp_path / "t.t3"), random_tensor(np.random.default_rng(0), (4, 4, 4)))
+    (tmp_path / "out").mkdir()
+    monkeypatch.chdir(tmp_path)
+
+    def never(*args, **kwargs):
+        raise AssertionError("read the tensor before the output prefix was checked")
+
+    monkeypatch.setattr("tapprox.cli.read_tensor_file", never)
+    rc, out, err = run_cli(capsys, [method, "t.t3", "2", "2", "2", prefix])
+    assert rc == 1 and out == ""
+    assert err.startswith(f"error: output prefix {prefix!r} names no file"), err
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["out", "t.t3"]
 
 
 def test_env_seed_is_used_and_flag_wins(tmp_path, capsys, monkeypatch):
