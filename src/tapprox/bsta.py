@@ -7,8 +7,8 @@ equivalently, the distance from the tensor to the product is minimal.
 
 One sweep updates the modes in turn.  With two frames held fixed the
 problem in the remaining mode is linear: the optimal subspace is spanned
-by the dominant left singular vectors of a projected operator, so each
-update is a thin SVD and the objective can never decrease.  Converged
+by the dominant left singular vectors of a projected operator, so the
+objective can never decrease.  Converged
 points are certified by an invariant-subspace residual: at a critical
 point each frame spans an invariant subspace of its projected Gram
 matrix.
@@ -61,8 +61,10 @@ class BstaOptions:
         Stop once the objective gain of a full sweep drops below
         ``rel_tol`` times the squared norm of the input tensor.
     init : str
-        ``"hosvd"`` (dominant singular frames of the unfoldings) or
-        ``"random"`` (seeded random orthonormal frames).
+        ``"hosvd"`` (the dominant left frames of the unfoldings) or
+        ``"random"`` (seeded random orthonormal frames).  Either start is
+        taken on the tensor the sweeps run on, which is compressed when
+        one mode is long (see :func:`bsta_solve`).
     seed : int
         Seed for the random initialization; a non-negative int.
     crit_tol : float
@@ -162,11 +164,20 @@ def projected_operator(t: DenseTensor3, mode: int, a: Subspace, b: Subspace) -> 
 def _dominant_left_frame(m: np.ndarray, k: int) -> np.ndarray:
     """Orthonormal frame of the top ``k`` left singular vectors of ``m``.
 
-    At a tie across the ``k`` boundary any dominant subspace is optimal, and
-    this returns the one the SVD orders first.  When ``m`` has fewer than ``k``
-    columns, one QR against ``e_1 .. e_k`` completes the frame with
-    zero-energy directions; callers keep ``k`` at most the row count.
+    This is the one rule for a frame: :func:`hosvd_init` applies it to each
+    unfolding and :func:`relaxation_sweep` to each projected operator.  A
+    wide or square ``m`` (rows <= cols) takes the eigenvectors of its row
+    Gram matrix ``m @ m.T`` with the ``k`` largest eigenvalues, largest
+    first, at a fraction of the cost of a thin SVD of ``m``.  A tall ``m``
+    takes its thin SVD, since the Gram matrix of the longer side is never
+    formed; when it has fewer than ``k`` columns, one QR against
+    ``e_1 .. e_k`` completes the frame with zero-energy directions.  At a
+    tie across the ``k`` boundary any dominant subspace is optimal, and
+    this returns the one the factorization orders first.  Callers keep
+    ``k`` at most the row count.
     """
+    if m.shape[0] <= m.shape[1]:
+        return np.linalg.eigh(m @ m.T)[1][:, ::-1][:, :k]
     u = np.linalg.svd(m, full_matrices=False)[0]
     if u.shape[1] < k:
         u = np.linalg.qr(np.hstack([u, np.eye(m.shape[0], k)]))[0]
@@ -185,34 +196,16 @@ def random_triple(
     return SubspaceTriple(*frames)
 
 
-def _unfolding_frame(u: np.ndarray, k: int) -> np.ndarray:
-    """Dominant ``k``-dimensional left frame of an unfolding ``u``.
-
-    A wide ``u`` takes the eigenvectors of ``u @ u.T`` with the ``k``
-    largest eigenvalues, largest first: the top left singular subspace
-    at a fraction of the cost of a thin SVD of ``u``.  A tall ``u`` keeps
-    the SVD, because its row Gram matrix would be the large one.
-    """
-    if u.shape[0] > u.shape[1]:
-        return _dominant_left_frame(u, k)
-    _, vecs = np.linalg.eigh(u @ u.T)
-    return vecs[:, ::-1][:, :k]
-
-
 def hosvd_init(t: DenseTensor3, ranks: tuple[int, int, int]) -> SubspaceTriple:
     """Initial triple from the dominant left singular frames of the unfoldings.
 
-    Each mode's frame comes from its ``m x n`` unfolding ``u``: from the
-    eigenvectors of the ``m x m`` Gram matrix ``u @ u.T`` when the
-    unfolding is wide (``m <= n``), else from a thin SVD of ``u``.  The
-    Gram matrix of the longer side is never formed.
+    Each mode's frame is :func:`_dominant_left_frame` of its unfolding, the
+    rule every relaxation step applies to a projected operator.
     """
-    _check_ranks(t.dims, ranks)
-    frames = [
-        Subspace(_unfolding_frame(unfold(t, mode), ranks[mode - 1]))
-        for mode in (1, 2, 3)
-    ]
-    return SubspaceTriple(*frames)
+    ranks = _check_ranks(t.dims, ranks)
+    return SubspaceTriple(
+        *(Subspace(_dominant_left_frame(unfold(t, j + 1), k)) for j, k in enumerate(ranks))
+    )
 
 
 def relaxation_sweep(
@@ -290,10 +283,6 @@ def _long_mode(dims, ranks) -> int | None:
     return None
 
 
-def _with_frame(s: SubspaceTriple, j: int, frame: np.ndarray) -> SubspaceTriple:
-    return SubspaceTriple(*s[:j], Subspace(frame), *s[j + 1 :])
-
-
 def bsta_solve(t: DenseTensor3, opts: BstaOptions) -> BstaResult:
     """Alternating relaxation for the best subspace approximation.
 
@@ -311,11 +300,11 @@ def bsta_solve(t: DenseTensor3, opts: BstaOptions) -> BstaResult:
     columns in the range of that unfolding, so its dominant left
     subspace is ``Q`` times the compressed operator's, and the operators
     of the other two modes do not change.  The objective history is that
-    of the sweeps on ``t`` up to rounding.  A random start is drawn in
-    the full dims; its first sweep runs on ``t``, since its mode-``j``
-    frame need not lie in the range of ``Q`` before that sweep.  The
-    frames are mapped back as ``Q F``, and the certificate, the Tucker
-    core and the error are computed on the full tensor.
+    of the sweeps on ``t`` up to rounding.  Both starts are taken on the
+    tensor the sweeps run on: the HOSVD frames of the compressed tensor, or
+    a random triple drawn in its dims.  The frames are mapped back as
+    ``Q F``, and the certificate, the Tucker core and the error are
+    computed on the full tensor.
     """
     ranks = _check_ranks(t.dims, opts.target_ranks)
     norm = _checked_norm(t)
@@ -327,10 +316,10 @@ def bsta_solve(t: DenseTensor3, opts: BstaOptions) -> BstaResult:
         work = fold(sv[:, None] * vh, j + 1, core_dims)
 
     if opts.init == "hosvd":
-        s, sweep_on = hosvd_init(work, ranks), work
+        s = hosvd_init(work, ranks)
     else:
-        s, sweep_on = random_triple(t.dims, ranks, opts.seed), t
-    obj = hs_norm(coefficient_tensor(sweep_on, s)) ** 2
+        s = random_triple(work.dims, ranks, opts.seed)
+    obj = hs_norm(coefficient_tensor(work, s)) ** 2
 
     gain_floor = opts.rel_tol * max(norm**2, _TINY)
 
@@ -338,11 +327,7 @@ def bsta_solve(t: DenseTensor3, opts: BstaOptions) -> BstaResult:
     sweeps = 0
     stop_reason = "max_sweeps"
     for _ in range(opts.max_sweeps):
-        s, fs = relaxation_sweep(sweep_on, s)
-        if sweep_on is not work:
-            # After a sweep on t, the mode-j frame lies in the range of q.
-            s = _with_frame(s, j, np.linalg.qr(q.T @ s[j].frame)[0])
-            sweep_on = work
+        s, fs = relaxation_sweep(work, s)
         sweeps += 1
         history.extend(fs)
         gain = fs[2] - obj
@@ -352,7 +337,7 @@ def bsta_solve(t: DenseTensor3, opts: BstaOptions) -> BstaResult:
             break
 
     if j is not None:
-        s = _with_frame(s, j, q @ s[j].frame)
+        s = SubspaceTriple(*s[:j], Subspace(q @ s[j].frame), *s[j + 1 :])
     residual, certified = verify_critical_point(t, s, opts.crit_tol)
     return BstaResult(
         subspaces=s,

@@ -374,6 +374,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
         raise ValueError(f"output prefix {prefix!r} names no file; give one, as in 'out/run'")
     if not os.path.isdir(os.path.dirname(prefix) or "."):
         raise ValueError(f"the directory of output prefix {prefix!r} does not exist")
+    outputs = [prefix + s for s in (*suffixes, ".core.t3", ".report.txt")]
+    if args.json:
+        outputs.append(prefix + ".report.json")
+    for out in outputs:
+        # samefile sees through symlinks and hard links.
+        if os.path.exists(out) and os.path.exists(args.file) and os.path.samefile(out, args.file):
+            raise ValueError(f"output {out!r} would overwrite the input file {args.file!r}")
     t = read_tensor_file(args.file)
     norm = hs_norm(t)
     start = time.perf_counter()

@@ -142,6 +142,9 @@ def test_hosvd_init_recovers_an_exact_product():
             t = tucker_tensor(rng, dims, ranks)
             s = hosvd_init(t, ranks)
             assert distance(t, s) <= 1e-10 * hs_norm(t), (seed, dims)
+            # Any iterable of three ranks is accepted, as by random_triple.
+            again = hosvd_init(t, iter(ranks))
+            assert all(np.array_equal(a.frame, b.frame) for a, b in zip(again, s))
 
 
 @settings(max_examples=60, deadline=None)
@@ -259,18 +262,28 @@ def test_sweep_is_frame_rotation_invariant():
         assert_allclose(fa, fb, rtol=1e-9)
 
 
-def test_completed_sweep_frame_captures_all_of_its_operator():
-    # Mode 1's operator has 1 * 2 columns, fewer than its rank 5, so the
-    # sweep completes its frame; the frame must still hold all of its energy.
-    rng = np.random.default_rng(90)
-    t = random_tensor(rng, (30, 3, 3))
-    s = random_subspace_triple(rng, (30, 3, 3), (5, 1, 2))
+@settings(max_examples=60, deadline=None)
+@given(tensor_and_ranks(), st.integers(0, 2**32 - 1))
+@example(_case((30, 3, 3), (5, 1, 2)), 90)  # mode 1: 2 operator columns for rank 5
+@example(_case((3, 4, 4), (2, 2, 2)), 0)  # wide mode-1 operator, 3 x 4
+@example(_case((4, 4, 4), (2, 2, 2)), 0)  # square operators, 4 x 4
+@example(_case((6, 2, 2), (2, 2, 2)), 0)  # tall mode-1 operator, 6 x 4
+@example((DenseTensor3(np.zeros((4, 3, 3))), (3, 1, 2)), 0)
+def test_completed_sweep_frame_captures_all_of_its_operator(case, seed):
+    # Each mode's operator is the one the sweep saw: the modes before it
+    # hold their updated frames, the modes after it the start's.  Energy,
+    # not subspaces, is compared, so ties across k do not matter.
+    t, ranks = case
+    s = random_triple(t.dims, ranks, seed)
     s1, fs = relaxation_sweep(t, s)
-    for sub, k in zip(s1, (5, 1, 2)):
-        assert sub.frame.shape[1] == k
-        assert_allclose(sub.frame.T @ sub.frame, np.eye(k), atol=1e-12)
-    energy = np.linalg.norm(projected_operator(t, 1, s.y, s.z)) ** 2
-    assert_allclose(fs[0], energy, rtol=1e-12)
+    norm_sq = hs_norm(t) ** 2
+    for j, k in enumerate(ranks):
+        f = s1[j].frame
+        assert f.shape == (t.dims[j], k)
+        assert np.max(np.abs(f.T @ f - np.eye(k))) <= 1e-12
+        m = projected_operator(t, j + 1, *(s1[i] if i < j else s[i] for i in range(3) if i != j))
+        top = float(np.sum(np.linalg.svd(m, compute_uv=False)[:k] ** 2))
+        assert abs(fs[j] - top) <= 1e-12 * norm_sq
 
 
 def test_sweep_checks_dimensions():
@@ -414,7 +427,19 @@ def _long(dims, ranks, init="hosvd", zero=False):
 def test_compressed_sweeps_match_the_sweeps_on_the_full_tensor(case):
     t, ranks, init = case
     res = bsta_solve(t, BstaOptions(target_ranks=ranks, init=init, seed=7, max_sweeps=20))
-    s = hosvd_init(t, ranks) if init == "hosvd" else random_triple(t.dims, ranks, seed=7)
+    j = tapprox.bsta._long_mode(t.dims, ranks)
+    if init == "hosvd":
+        s = hosvd_init(t, ranks)
+    elif j is None:
+        s = random_triple(t.dims, ranks, seed=7)
+    else:
+        # The solver draws a random start in the compressed dims; Q maps it
+        # into the full mode space.
+        q = np.linalg.svd(unfold(t, j + 1), full_matrices=False)[0]
+        dims = tuple(q.shape[1] if k == j else m for k, m in enumerate(t.dims))
+        s = list(random_triple(dims, ranks, seed=7))
+        s[j] = Subspace(q @ s[j].frame)
+        s = SubspaceTriple(*s)
     history = []
     for _ in range(res.sweeps):
         s, fs = relaxation_sweep(t, s)
@@ -444,8 +469,7 @@ def test_sweeps_run_on_the_compressed_tensor(monkeypatch):
         ((30, 3, 3), (3, 2, 2), "hosvd", [(9, 3, 3)] * 3),
         ((3, 40, 3), (2, 3, 2), "hosvd", [(3, 9, 3)] * 3),
         ((3, 3, 25), (2, 2, 3), "hosvd", [(3, 3, 9)] * 3),
-        # A random start's first sweep runs on the full tensor.
-        ((3, 3, 25), (2, 2, 3), "random", [(3, 3, 25)] + [(3, 3, 9)] * 2),
+        ((3, 3, 25), (2, 2, 3), "random", [(3, 3, 9)] * 3),
         # No qualifying mode: too short, or a rank above k_p * k_q.
         ((6, 6, 6), (2, 2, 2), "hosvd", [(6, 6, 6)] * 3),
         ((30, 3, 3), (5, 1, 2), "hosvd", [(30, 3, 3)] * 3),

@@ -677,6 +677,37 @@ def test_prefix_without_a_file_name_fails_before_the_tensor_is_read(
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["out", "t.t3"]
 
 
+@pytest.mark.parametrize("method", ["bsta", "flrta"])
+@pytest.mark.parametrize(
+    "infile, output, link, flags",
+    [
+        ("run.core.t3", "run.core.t3", None, []),
+        ("t.t3", "run.report.txt", os.symlink, []),
+        ("t.t3", "run.report.json", os.link, ["--json"]),
+    ],
+    ids=["same-name", "symlink", "hard-link"],
+)
+def test_output_that_is_the_input_fails_before_the_tensor_is_read(
+    tmp_path, capsys, monkeypatch, method, infile, output, link, flags
+):
+    # Unchecked, `bsta run.core.t3 2 2 2 run` replaced its input with the core.
+    write_tensor_file(str(tmp_path / infile), random_tensor(np.random.default_rng(0), (6, 5, 4)))
+    before = (tmp_path / infile).read_bytes()
+    monkeypatch.chdir(tmp_path)
+    if link is not None:
+        link(infile, output)
+    files = sorted(os.listdir(tmp_path))
+    reads = []
+    monkeypatch.setattr(
+        "tapprox.cli.read_tensor_file", lambda path: reads.append(path) or read_tensor_file(path)
+    )
+    rc, out, err = run_cli(capsys, [method, infile, "2", "2", "2", "run", *flags])
+    assert (rc, out, reads) == (1, "", [])
+    assert err == f"error: output {output!r} would overwrite the input file {infile!r}\n"
+    assert (tmp_path / infile).read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == files
+
+
 def test_env_seed_is_used_and_flag_wins(tmp_path, capsys, monkeypatch):
     fa, fb, fc, fd = (str(tmp_path / n) for n in ("a.t3", "b.t3", "c.t3", "d.t3"))
     args = ["--dims", "4,4,4", "--mlrank", "2,2,2"]
