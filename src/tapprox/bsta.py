@@ -62,9 +62,9 @@ class BstaOptions:
         ``rel_tol`` times the squared norm of the input tensor.
     init : str
         ``"hosvd"`` (the dominant left frames of the unfoldings) or
-        ``"random"`` (seeded random orthonormal frames).  Either start is
-        taken on the tensor the sweeps run on, which is compressed when
-        one mode is long (see :func:`bsta_solve`).
+        ``"random"`` (seeded random orthonormal frames).  When one mode
+        is long the sweeps run on a compressed tensor, and a random start
+        is drawn in its dims (see :func:`bsta_solve`).
     seed : int
         Seed for the random initialization; a non-negative int.
     crit_tol : float
@@ -300,11 +300,11 @@ def bsta_solve(t: DenseTensor3, opts: BstaOptions) -> BstaResult:
     columns in the range of that unfolding, so its dominant left
     subspace is ``Q`` times the compressed operator's, and the operators
     of the other two modes do not change.  The objective history is that
-    of the sweeps on ``t`` up to rounding.  Both starts are taken on the
-    tensor the sweeps run on: the HOSVD frames of the compressed tensor, or
-    a random triple drawn in its dims.  The frames are mapped back as
-    ``Q F``, and the certificate, the Tucker core and the error are
-    computed on the full tensor.
+    of the sweeps on ``t`` up to rounding.  The HOSVD start is that of
+    ``t`` (mode ``j``'s frame is ``e_1 .. e_k`` in the compressed space);
+    a random start is drawn in the compressed dims.  The frames are mapped
+    back as ``Q F``, and the certificate, the Tucker core and the error
+    are computed on the full tensor.
     """
     ranks = _check_ranks(t.dims, opts.target_ranks)
     norm = _checked_norm(t)
@@ -315,10 +315,16 @@ def bsta_solve(t: DenseTensor3, opts: BstaOptions) -> BstaResult:
         core_dims = tuple(q.shape[1] if k == j else m for k, m in enumerate(t.dims))
         work = fold(sv[:, None] * vh, j + 1, core_dims)
 
-    if opts.init == "hosvd":
-        s = hosvd_init(work, ranks)
-    else:
+    if opts.init == "random":
         s = random_triple(work.dims, ranks, opts.seed)
+    elif j is None:
+        s = hosvd_init(t, ranks)
+    else:
+        # t's own HOSVD start, where mode j's frame is e_1 .. e_k: one taken on
+        # work rounds differently, and the sweeps can amplify that near a tie.
+        frames = [_dominant_left_frame(unfold(t, i + 1), k) for i, k in enumerate(ranks) if i != j]
+        frames.insert(j, np.eye(work.dims[j], ranks[j]))
+        s = SubspaceTriple(*map(Subspace, frames))
     obj = hs_norm(coefficient_tensor(work, s)) ** 2
 
     gain_floor = opts.rel_tol * max(norm**2, _TINY)
