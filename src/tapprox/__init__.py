@@ -24,7 +24,6 @@ from .bsta import (
 )
 from .flrta import (
     IndexSelection,
-    SelectionError,
     fit_core_cross,
     fit_core_full,
     flrta_approx,
@@ -56,7 +55,6 @@ __all__ = [
     "BstaResult",
     "DenseTensor3",
     "IndexSelection",
-    "SelectionError",
     "Subspace",
     "SubspaceTriple",
     "TuckerFactorization",

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsta import BstaOptions, bsta_solve
-from .flrta import DEFAULT_TRIALS, SelectionError, flrta_approx, select_indices
+from .flrta import DEFAULT_TRIALS, flrta_approx, select_indices
 from .tensor_core import (
     DenseTensor3,
     TuckerFactorization,
@@ -41,6 +41,7 @@ from .tensor_core import (
     _checked_norm,
     _float_array,
     _multilinear,
+    _positive_int,
     _seed,
     _three_positive_ints,
     _tolerance,
@@ -299,8 +300,8 @@ class Solution:
     work: str
 
 
-def _solve_bsta(t, norm, ranks, seed, args) -> Solution:
-    opts = BstaOptions(
+def _bsta_options(ranks, seed, args) -> BstaOptions:
+    return BstaOptions(
         target_ranks=ranks,
         max_sweeps=args.max_sweeps,
         rel_tol=args.rel_tol,
@@ -308,6 +309,10 @@ def _solve_bsta(t, norm, ranks, seed, args) -> Solution:
         seed=seed,
         crit_tol=args.crit_tol,
     )
+
+
+def _solve_bsta(t, norm, ranks, seed, args) -> Solution:
+    opts = _bsta_options(ranks, seed, args)
     result = bsta_solve(t, opts)
     head = [
         ("target_ranks", _fmt_dims(opts.target_ranks)),
@@ -327,16 +332,16 @@ def _solve_bsta(t, norm, ranks, seed, args) -> Solution:
     return Solution(result.tucker, result.approx_error, head, tail, f"{result.sweeps} sweeps")
 
 
+def _check_flrta(sizes, seed, args) -> None:
+    """The rules ``select_indices`` and ``flrta_approx`` apply to the arguments alone."""
+    _three_positive_ints(sizes, "section sizes")
+    _positive_int(args.trials, "trials")
+    if args.pinv_tol is not None:
+        _tolerance(args.pinv_tol, "rank tolerance")
+
+
 def _solve_flrta(t, norm, sizes, seed, args) -> Solution:
-    degenerate = False
-    try:
-        sel = select_indices(t, sizes, trials=args.trials, seed=seed)
-    except SelectionError as exc:
-        # Every trial was singular; continue with the best-effort pick so
-        # degenerate inputs (e.g. the zero tensor) still produce output.
-        print(f"warning: {exc}", file=sys.stderr)
-        sel = exc.selection
-        degenerate = True
+    sel = select_indices(t, sizes, trials=args.trials, seed=seed)
     fac = flrta_approx(t, sel, pinv_tol=args.pinv_tol)
     error = float(np.linalg.norm(t.data - fac.reconstruct().data))
     conds = sel.chosen_conditions
@@ -345,7 +350,7 @@ def _solve_flrta(t, norm, sizes, seed, args) -> Solution:
         ("trials", str(args.trials)),
         ("seed", str(seed)),
         ("pinv_tol", "auto" if args.pinv_tol is None else _fmt_float(args.pinv_tol)),
-        ("degenerate", _fmt_bool(degenerate)),
+        ("degenerate", _fmt_bool(math.isinf(conds.worst))),
         ("i_set", _fmt_ints(sel.i_set)),
         ("j_set", _fmt_ints(sel.j_set)),
         ("k_set", _fmt_ints(sel.k_set)),
@@ -356,19 +361,21 @@ def _solve_flrta(t, norm, sizes, seed, args) -> Solution:
     return Solution(fac, error, head, [], f"{args.trials} trials")
 
 
-#: Per method: solve helper, factor-file suffixes, and whether the factors
-#: are written transposed.  BSTA writes its frames (m x k); FLRTA writes
-#: its sections as factors (k x m).
+#: Per method: argument check (run before the tensor is read), solve helper,
+#: factor-file suffixes, and whether the factors are written transposed.
+#: BSTA writes its frames (m x k); FLRTA writes its sections as factors (k x m).
 _METHODS = {
-    "bsta": (_solve_bsta, (".x.mat", ".y.mat", ".z.mat"), True),
-    "flrta": (_solve_flrta, (".c1.mat", ".c2.mat", ".c3.mat"), False),
+    "bsta": (_bsta_options, _solve_bsta, (".x.mat", ".y.mat", ".z.mat"), True),
+    "flrta": (_check_flrta, _solve_flrta, (".c1.mat", ".c2.mat", ".c3.mat"), False),
 }
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     """Run ``bsta`` or ``flrta``: solve, write factors and core, report."""
-    solve, suffixes, transposed = _METHODS[args.command]
+    check, solve, suffixes, transposed = _METHODS[args.command]
     seed = _resolve_seed(args.seed)
+    ranks = (args.p, args.q, args.r)
+    check(ranks, seed, args)
     prefix = args.out_prefix
     if not os.path.basename(prefix):
         raise ValueError(f"output prefix {prefix!r} names no file; give one, as in 'out/run'")
@@ -384,7 +391,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     t = read_tensor_file(args.file)
     norm = hs_norm(t)
     start = time.perf_counter()
-    sol = solve(t, norm, (args.p, args.q, args.r), seed, args)
+    sol = solve(t, norm, ranks, seed, args)
     wall = time.perf_counter() - start
 
     for suffix, factor in zip(suffixes, sol.tucker.factors):
@@ -414,18 +421,17 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-# The subcommands' former function names, kept for code that refers to them.
-cmd_bsta = cmd_flrta = cmd_solve
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
+    for ranks in args.ranks:
+        for check, *_ in _METHODS.values():
+            check(ranks, seed, args)
     t = read_tensor_file(args.file)
     norm = hs_norm(t)
 
     rows = []
     for ranks in args.ranks:
-        for method, (solve, _, _) in _METHODS.items():
+        for method, (_, solve, _, _) in _METHODS.items():
             start = time.perf_counter()
             sol = solve(t, norm, ranks, seed, args)
             wall = time.perf_counter() - start
@@ -465,31 +471,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=None)
     p_gen.set_defaults(func=cmd_gen)
 
-    p_bsta = sub.add_parser("bsta", help="best subspace approximation by alternating relaxation")
-    p_bsta.add_argument("file", help="tensor file (t3 format)")
-    p_bsta.add_argument("p", type=int)
-    p_bsta.add_argument("q", type=int)
-    p_bsta.add_argument("r", type=int)
-    p_bsta.add_argument("out_prefix", help="prefix for frames, core and report files")
-    p_bsta.add_argument("--max-sweeps", type=int, default=BstaOptions.max_sweeps)
-    p_bsta.add_argument("--rel-tol", type=float, default=BstaOptions.rel_tol)
-    p_bsta.add_argument("--init", choices=("hosvd", "random"), default="hosvd")
-    p_bsta.add_argument("--seed", type=int, default=None)
-    p_bsta.add_argument("--crit-tol", type=float, default=BstaOptions.crit_tol)
-    p_bsta.add_argument("--json", action="store_true", help="also write a JSON report")
-    p_bsta.set_defaults(func=cmd_solve)
-
-    p_flrta = sub.add_parser("flrta", help="fiber-sampling low-rank approximation")
-    p_flrta.add_argument("file", help="tensor file (t3 format)")
-    p_flrta.add_argument("p", type=int)
-    p_flrta.add_argument("q", type=int)
-    p_flrta.add_argument("r", type=int)
-    p_flrta.add_argument("out_prefix", help="prefix for factors, core and report files")
-    p_flrta.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    p_flrta.add_argument("--seed", type=int, default=None)
-    p_flrta.add_argument("--pinv-tol", type=float, default=None)
-    p_flrta.add_argument("--json", action="store_true", help="also write a JSON report")
-    p_flrta.set_defaults(func=cmd_solve)
+    # bsta and flrta share FILE P Q R OUT_PREFIX, --json and --seed (placed as --help lists it).
+    seed = ("--seed", {"type": int, "default": None})
+    for command, summary, written, options in [
+        ("bsta", "best subspace approximation by alternating relaxation", "frames", [
+            ("--max-sweeps", {"type": int, "default": BstaOptions.max_sweeps}),
+            ("--rel-tol", {"type": float, "default": BstaOptions.rel_tol}),
+            ("--init", {"choices": ("hosvd", "random"), "default": "hosvd"}),
+            seed,
+            ("--crit-tol", {"type": float, "default": BstaOptions.crit_tol}),
+        ]),
+        ("flrta", "fiber-sampling low-rank approximation", "factors", [
+            ("--trials", {"type": int, "default": DEFAULT_TRIALS}),
+            seed,
+            ("--pinv-tol", {"type": float, "default": None}),
+        ]),
+    ]:
+        p_solve = sub.add_parser(command, help=summary)
+        p_solve.add_argument("file", help="tensor file (t3 format)")
+        for name in ("p", "q", "r"):
+            p_solve.add_argument(name, type=int)
+        p_solve.add_argument("out_prefix", help=f"prefix for {written}, core and report files")
+        for flag, kwargs in options:
+            p_solve.add_argument(flag, **kwargs)
+        p_solve.add_argument("--json", action="store_true", help="also write a JSON report")
+        p_solve.set_defaults(func=cmd_solve)
 
     p_bench = sub.add_parser("bench", help="compare both methods over a list of ranks")
     p_bench.add_argument("file", help="tensor file (t3 format)")

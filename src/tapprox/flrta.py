@@ -28,6 +28,7 @@ from .tensor_core import (
     _checked_norm,
     _float_array,
     _multilinear,
+    _positive_int,
     _rank_cutoff,
     _seed,
     _three_positive_ints,
@@ -41,18 +42,6 @@ COND_WARN_THRESHOLD = 1e8
 
 class RankDeficientDesignWarning(RuntimeWarning):
     """The sampled least-squares system was singular; a minimum-norm core was returned."""
-
-
-class SelectionError(RuntimeError):
-    """Every sampling trial produced singular cross matrices.
-
-    Carries the best-effort ``selection`` (with its full ``cond_report``)
-    so callers can still proceed, eyes open, on degenerate inputs.
-    """
-
-    def __init__(self, message: str, selection: "IndexSelection") -> None:
-        super().__init__(message)
-        self.selection = selection
 
 
 @dataclass(frozen=True)
@@ -230,15 +219,13 @@ def select_indices(
     break to the lexicographically smallest sets, so the outcome is a
     deterministic function of the tensor, sizes, trials and seed.
 
-    Raises :class:`SelectionError` when every trial is singular; the
-    error carries the best-effort selection and the full report.
+    A ``RuntimeWarning`` says when every trial is singular (such a pick can
+    still be exact), or else when the best one is poorly conditioned.
     """
     _checked_norm(t)
     l1, l2, l3 = t.dims
     p, q, r = _check_ranks(t.dims, ranks, "section sizes")
-    trials = _as_int(trials, "trials")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = _positive_int(trials, "trials")
 
     rng = np.random.default_rng(_seed(seed))
     records = []
@@ -255,18 +242,15 @@ def select_indices(
         t.dims, best.i_set, best.j_set, best.k_set, cond_report=tuple(records)
     )
     if not np.isfinite(best.worst):
-        raise SelectionError(
+        message = (
             f"all {trials} sampling trials produced singular cross matrices "
-            f"for section sizes ({p}, {q}, {r})",
-            selection,
+            f"for section sizes ({p}, {q}, {r})"
         )
-    if best.worst > COND_WARN_THRESHOLD:
-        warnings.warn(
-            f"best selection is poorly conditioned (worst condition number "
-            f"{best.worst:.3e})",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    elif best.worst > COND_WARN_THRESHOLD:
+        message = f"best selection is poorly conditioned (worst condition number {best.worst:.3e})"
+    else:
+        return selection
+    warnings.warn(message, RuntimeWarning, stacklevel=2)
     return selection
 
 

@@ -89,6 +89,13 @@ def _seed(value, name: str = "seed") -> int:
     return seed
 
 
+def _positive_int(value, name: str) -> int:
+    """``value`` as a count: an int by :func:`_as_int`, and at least 1."""
+    if (count := _as_int(value, name)) < 1:
+        raise ValueError(f"{name} must be >= 1, got {count}")
+    return count
+
+
 def _three_positive_ints(values, name: str) -> tuple[int, int, int]:
     """``values`` as a tuple of three ints, each at least 1."""
     out = tuple(_as_int(v, name) for v in values)

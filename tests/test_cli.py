@@ -420,7 +420,10 @@ def test_flrta_zero_tensor_degenerates_gracefully(tmp_path, capsys):
     write_tensor_file(f, DenseTensor3(np.zeros((4, 4, 4))))
     rc, out, err = run_cli(capsys, ["flrta", f, "2", "2", "2", str(tmp_path / "o")])
     assert rc == 0
-    assert "warning:" in err
+    assert [line for line in err.splitlines() if not line.startswith("wall_time_s=")] == [
+        "warning: all 20 sampling trials produced singular cross matrices "
+        "for section sizes (2, 2, 2)"
+    ]
     rep = report_dict(out)
     assert rep["degenerate"] == "true"
     assert rep["error_abs"] == "0"
@@ -754,21 +757,46 @@ def test_negative_seed_is_a_one_line_error(tmp_path, capsys, monkeypatch, comman
     assert os.listdir(tmp_path) == ["t.t3"]
 
 
-@pytest.mark.parametrize("command", ["bsta", "flrta", "bench"])
-def test_seed_is_checked_before_the_tensor_file_is_read(tmp_path, capsys, monkeypatch, command):
+_BAD_OPTIONS = [
+    pytest.param(command, "2,2,2", ["--seed", "-1"],
+                 "--seed must be a non-negative integer, got -1", id=command)
+    for command in ("bsta", "flrta", "bench")
+] + [
+    pytest.param(command, ranks, flags, message, id=f"{command}-{name}")
+    for command, name, ranks, flags, message in [
+        ("bsta", "max-sweeps", "2,2,2", ["--max-sweeps", "0"], "max_sweeps must be >= 1, got 0"),
+        ("bsta", "rel-tol", "2,2,2", ["--rel-tol", "inf"], "rel_tol must be finite and > 0, got inf"),
+        ("bsta", "crit-tol", "2,2,2", ["--crit-tol", "inf"],
+         "crit_tol must be finite and > 0, got inf"),
+        ("bsta", "rank", "0,2,2", [], "target_ranks must be three positive ints, got (0, 2, 2)"),
+        ("flrta", "trials", "2,2,2", ["--trials", "0"], "trials must be >= 1, got 0"),
+        ("flrta", "pinv-tol", "2,2,2", ["--pinv-tol", "-1"],
+         "rank tolerance must be finite and >= 0, got -1.0"),
+        ("flrta", "size", "2,0,2", [], "section sizes must be three positive ints, got (2, 0, 2)"),
+        ("bench", "trials", "2,2,2", ["--trials", "0"], "trials must be >= 1, got 0"),
+        ("bench", "rank", "2,2,0", [], "target_ranks must be three positive ints, got (2, 2, 0)"),
+    ]
+]
+
+
+@pytest.mark.parametrize("command, ranks, flags, message", _BAD_OPTIONS)
+def test_seed_is_checked_before_the_tensor_file_is_read(
+    tmp_path, capsys, monkeypatch, command, ranks, flags, message
+):
+    # The seed and every other option: a bad one fails before the input is parsed.
     def read_tensor_file(path):
-        raise AssertionError(f"{path} was read before the seed was checked")
+        raise AssertionError(f"{path} was read before the options were checked")
 
     monkeypatch.setattr("tapprox.cli.read_tensor_file", read_tensor_file)
     f = str(tmp_path / "missing.t3")
-    argv = {
-        "bsta": ["bsta", f, "2", "2", "2", str(tmp_path / "o")],
-        "flrta": ["flrta", f, "2", "2", "2", str(tmp_path / "o")],
-        "bench": ["bench", f, "2,2,2"],
-    }[command]
-    rc, out, err = run_cli(capsys, argv + ["--seed", "-1"])
+    if command == "bench":
+        argv = ["bench", f, ranks]
+    else:
+        argv = [command, f, *ranks.split(","), str(tmp_path / "o")]
+    rc, out, err = run_cli(capsys, argv + flags)
     assert (rc, out) == (1, "")
-    assert err == "error: --seed must be a non-negative integer, got -1\n"
+    assert err == f"error: {message}\n"
+    assert os.listdir(tmp_path) == []
 
 
 def test_missing_file_gives_one_line_diagnostic(capsys):

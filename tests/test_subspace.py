@@ -153,15 +153,20 @@ def test_projection_depends_only_on_the_subspace():
 
 
 def test_distance_zero_inside_the_product():
-    rng = np.random.default_rng(67)
-    s = random_subspace_triple(rng, (5, 4, 3), (2, 2, 2))
-    core = rng.standard_normal((2, 2, 2))
-    inside = DenseTensor3(
-        np.einsum("abc,ia,jb,kc->ijk", core, s.x.frame, s.y.frame, s.z.frame)
-    )
-    # the direct residual, free of the norm difference's sqrt(eps) floor
-    assert distance(inside, s) <= 1e-13 * hs_norm(inside)
-    assert_allclose(project(inside, s).data, inside.data, rtol=1e-11, atol=1e-13)
+    # One 5x4x3 case, then 20 random 6^3 cases at ranks (3, 3, 3).
+    rng = np.random.default_rng(69)
+    cases = [(np.random.default_rng(67), (5, 4, 3), (2, 2, 2))] + [(rng, (6, 6, 6), (3, 3, 3))] * 20
+    for rng, dims, ranks in cases:
+        s = random_subspace_triple(rng, dims, ranks)
+        core = rng.standard_normal(ranks)
+        inside = DenseTensor3(
+            np.einsum("abc,ia,jb,kc->ijk", core, s.x.frame, s.y.frame, s.z.frame)
+        )
+        # the direct residual, free of the norm difference's sqrt(eps) floor
+        d = distance(inside, s)
+        assert np.isfinite(d) and d >= 0.0
+        assert d <= 1e-13 * hs_norm(inside)
+        assert_allclose(project(inside, s).data, inside.data, rtol=1e-11, atol=1e-13)
 
 
 def test_distance_of_orthogonal_tensor_is_the_norm():
@@ -185,17 +190,3 @@ def test_pythagoras_identity():
         split = hs_norm(project(t, s)) ** 2 + distance(t, s) ** 2
         assert abs(total - split) <= 1e-10 * total
 
-
-def test_distance_radicand_is_clamped():
-    # A tensor lying inside the product gives a norm difference that can
-    # be a tiny negative number; the direct residual is real and ~0.
-    rng = np.random.default_rng(69)
-    for trial in range(20):
-        s = random_subspace_triple(rng, (6, 6, 6), (3, 3, 3))
-        core = rng.standard_normal((3, 3, 3))
-        inside = DenseTensor3(
-            np.einsum("abc,ia,jb,kc->ijk", core, s.x.frame, s.y.frame, s.z.frame)
-        )
-        d = distance(inside, s)
-        assert np.isfinite(d) and d >= 0.0
-        assert d <= 1e-13 * hs_norm(inside)
