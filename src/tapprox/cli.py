@@ -42,6 +42,7 @@ from .tensor_core import (
     _float_array,
     _multilinear,
     _positive_int,
+    _residual_norm,
     _seed,
     _three_positive_ints,
     _tolerance,
@@ -165,7 +166,7 @@ def _read_numeric_file(path: str, magic: str, ndims: int):
 def read_tensor_file(path: str) -> DenseTensor3:
     """Read a ``t3`` tensor file."""
     dims, values = _read_numeric_file(path, "t3", 3)
-    return DenseTensor3.from_flat(values, dims)
+    return DenseTensor3(values.reshape(dims), _fresh=True)
 
 
 def _write_numeric_file(path: str, header: str, rows: np.ndarray, comments) -> None:
@@ -262,7 +263,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         # with one line; NumPy's overflow warning would add more.
         with np.errstate(over="ignore"):
             data = data + args.noise * rng.standard_normal(dims)
-    t = DenseTensor3(data)
+    t = DenseTensor3(data, _fresh=True)
     norm = _checked_norm(t)
 
     write_tensor_file(
@@ -343,7 +344,7 @@ def _check_flrta(sizes, seed, args) -> None:
 def _solve_flrta(t, norm, sizes, seed, args) -> Solution:
     sel = select_indices(t, sizes, trials=args.trials, seed=seed)
     fac = flrta_approx(t, sel, pinv_tol=args.pinv_tol)
-    error = float(np.linalg.norm(t.data - fac.reconstruct().data))
+    error = _residual_norm(t.data, fac.reconstruct().data)
     conds = sel.chosen_conditions
     head = [
         ("section_sizes", _fmt_dims(sizes)),
@@ -436,13 +437,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
             sol = solve(t, norm, ranks, seed, args)
             wall = time.perf_counter() - start
             rel = _rel_error(sol.error, norm)
-            rows.append((method, ranks, rel, sol.work, sol.tucker.storage_count() / t.size, wall))
+            # FLRTA's report entry; BSTA selects no indices, so its rows read "-".
+            degenerate = dict(sol.head).get("degenerate", "-")
+            ratio = sol.tucker.storage_count() / t.size
+            rows.append((method, ranks, rel, degenerate, sol.work, ratio, wall))
 
-    header = f"{'method':<8}{'ranks':<12}{'rel_error':<18}{'work':<14}{'storage':<12}{'wall_s':<10}"
+    header = (
+        f"{'method':<8}{'ranks':<12}{'rel_error':<18}{'degenerate':<12}{'work':<14}"
+        f"{'storage':<12}{'wall_s':<10}"
+    )
     print(header)
-    for method, ranks, rel, work, ratio, wall in rows:
+    for method, ranks, rel, degenerate, work, ratio, wall in rows:
         print(
-            f"{method:<8}{_fmt_dims(ranks):<12}{rel:<18.9e}{work:<14}"
+            f"{method:<8}{_fmt_dims(ranks):<12}{rel:<18.9e}{degenerate:<12}{work:<14}"
             f"{ratio:<12.6f}{wall:<10.3f}"
         )
     return 0

@@ -131,7 +131,8 @@ def sections(
     ``(j_set, k_set)``; the other two analogously keep modes 2 and 3.
     """
     _check_selection(t, sel)
-    return tuple(DenseTensor3(t.data[g]) for g in _section_grids(sel))  # type: ignore[return-value]
+    grids = _section_grids(sel)
+    return tuple(DenseTensor3(t.data[g], _fresh=True) for g in grids)  # type: ignore[return-value]
 
 
 def _section_grids(sel: IndexSelection):
@@ -193,7 +194,8 @@ def flrta_approx(t: DenseTensor3, sel: IndexSelection, pinv_tol: float | None = 
     ar = np.arange(r)
     core = np.zeros((q, r, p, r, p * q))
     core[:, ar, :, ar, :] = P[..., None] * W[:, None, None, :]
-    return TuckerFactorization(DenseTensor3(core.reshape(q * r, p * r, p * q)), (c1, c2, c3))
+    core = DenseTensor3(core.reshape(q * r, p * r, p * q), _fresh=True)
+    return TuckerFactorization(core, (c1, c2, c3))
 
 
 def _condition_number(m: np.ndarray) -> float:
@@ -262,7 +264,7 @@ def fit_core_full(t: DenseTensor3, factors) -> DenseTensor3:
     with the pseudoinverse of each factor's transpose.
     """
     facs = _check_factors(factors, t.dims, 1, "tensor")
-    return DenseTensor3(_multilinear(t.data, [pinv(f.T) for f in facs]))
+    return DenseTensor3(_multilinear(t.data, [pinv(f.T) for f in facs]), _fresh=True)
 
 
 def fit_core_cross(t: DenseTensor3, factors, sel: IndexSelection) -> DenseTensor3:
@@ -297,4 +299,4 @@ def fit_core_cross(t: DenseTensor3, factors, sel: IndexSelection) -> DenseTensor
         )
     sol = vh[:rank].T @ ((u[:, :rank].T @ rhs) / s[:rank])
     dims = (f1.shape[0], f2.shape[0], f3.shape[0])
-    return DenseTensor3(sol.reshape(dims))
+    return DenseTensor3(sol.reshape(dims), _fresh=True)

@@ -12,7 +12,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tensor_core import DenseTensor3, TuckerFactorization, _float_array, _multilinear
+from .tensor_core import (
+    DenseTensor3,
+    TuckerFactorization,
+    _float_array,
+    _multilinear,
+    _residual_norm,
+)
 
 #: Per-entry tolerance for accepting a frame as orthonormal.
 ORTHO_TOL = 1e-10
@@ -90,7 +96,7 @@ def coefficient_tensor(t: DenseTensor3, s: SubspaceTriple) -> DenseTensor3:
     ``t`` with the transposed frames.
     """
     _check_triple(t, s)
-    return DenseTensor3(_multilinear(t.data, [sub.frame.T for sub in s]))
+    return DenseTensor3(_multilinear(t.data, [sub.frame.T for sub in s]), _fresh=True)
 
 
 def _frames_tucker(t: DenseTensor3, s: SubspaceTriple) -> TuckerFactorization:
@@ -109,7 +115,9 @@ def project(t: DenseTensor3, s: SubspaceTriple) -> DenseTensor3:
 def distance(t: DenseTensor3, s: SubspaceTriple) -> float:
     """Distance from ``t`` to the tensor product of the triple ``s``.
 
-    The norm of ``t - project(t, s)``, at the cost of one projection.  Pythagoras'
+    The norm of ``t - project(t, s)``.  Beyond ``t`` it holds one projection,
+    which ``reconstruct()`` hands over without a copy, plus one chunk of the
+    difference (``tensor_core._residual_norm``).  Pythagoras'
     ``sqrt(|t|^2 - |coefficient_tensor|^2)`` loses all below ``sqrt(eps) * |t|``.
     """
-    return float(np.linalg.norm(t.data - project(t, s).data))
+    return _residual_norm(t.data, project(t, s).data)

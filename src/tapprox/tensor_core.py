@@ -30,12 +30,25 @@ class DenseTensor3:
         Anything ``np.asarray`` accepts with exactly three axes.  The
         values are copied into a fresh C-ordered float64 array, so the
         tensor never aliases caller-owned memory.
+
+    Package code that wraps an array it has just computed passes the
+    private ``_fresh=True``: the tensor then takes that array over (copying
+    only to make it C-ordered float64) and marks it read-only, after the
+    same checks.  These constructions skip the copy: ``reconstruct()``,
+    ``coefficient_tensor``, the array ``cli.read_tensor_file`` parses,
+    ``tapprox gen``'s tensor, and FLRTA's sections and cores.  The
+    finite-entry check runs one chunk at a time, so taking over a C-ordered
+    float64 array allocates nothing the size of the tensor.
     """
 
     __slots__ = ("_data",)
 
-    def __init__(self, data) -> None:
-        arr = _float_array(np.array(data, dtype=np.float64, order="C", copy=True), 3, "tensor")
+    def __init__(self, data, *, _fresh: bool = False) -> None:
+        if _fresh:
+            arr = np.ascontiguousarray(data, dtype=np.float64)
+        else:
+            arr = np.array(data, dtype=np.float64, order="C", copy=True)
+        arr = _float_array(arr, 3, "tensor")
         arr.flags.writeable = False
         self._data = arr
 
@@ -104,6 +117,16 @@ def _three_positive_ints(values, name: str) -> tuple[int, int, int]:
     return out  # type: ignore[return-value]
 
 
+#: Values per chunk of :func:`_all_finite` and :func:`_residual_norm`: 512 KiB of float64.
+_CHUNK = 1 << 16
+
+
+def _all_finite(arr: np.ndarray) -> bool:
+    """``np.all(np.isfinite(arr))``, one chunk at a time: no bool array the size of ``arr``."""
+    flat = arr.ravel(order="K")
+    return all(np.isfinite(flat[i : i + _CHUNK]).all() for i in range(0, flat.size, _CHUNK))
+
+
 def _float_array(values, ndim: int = 2, name: str = "matrix") -> np.ndarray:
     """Validate and return an ``ndim``-axis float64 array (copies only if needed)."""
     arr = np.asarray(values, dtype=np.float64)
@@ -111,9 +134,26 @@ def _float_array(values, ndim: int = 2, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be {ndim}-dimensional, got {arr.ndim} axes")
     if min(arr.shape) < 1:
         raise ValueError(f"{name} dimensions must be positive, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not _all_finite(arr):
         raise ValueError(f"{name} entries must be finite reals")
     return arr
+
+
+def _residual_norm(a: np.ndarray, b: np.ndarray) -> float:
+    """``|a - b|`` for two arrays of one shape, one chunk of the flat arrays at a time.
+
+    Equals ``np.linalg.norm(a - b)`` up to the order of summation, but holds
+    one difference chunk of :data:`_CHUNK` values, never a third full-size
+    array.  BSTA's error (``subspace.distance``) and FLRTA's both use it.
+    """
+    a, b = a.reshape(-1), b.reshape(-1)
+    buf = np.empty(min(a.size, _CHUNK))
+    total = 0.0
+    for start in range(0, a.size, _CHUNK):
+        part = a[start : start + _CHUNK]
+        d = np.subtract(part, b[start : start + _CHUNK], out=buf[: part.size])
+        total += float(d @ d)
+    return math.sqrt(total)
 
 
 def _multilinear(data: np.ndarray, mats) -> np.ndarray:
@@ -268,8 +308,12 @@ class TuckerFactorization:
         return tuple(f.shape[1] for f in self.factors)  # type: ignore[return-value]
 
     def reconstruct(self) -> DenseTensor3:
-        """Contract the core with all three factors (the multilinear product)."""
-        return DenseTensor3(_multilinear(self.core.data, [f.T for f in self.factors]))
+        """Contract the core with all three factors (the multilinear product).
+
+        The tensor takes over the product's array without a copy; its data
+        is read-only, as every tensor's is.
+        """
+        return DenseTensor3(_multilinear(self.core.data, [f.T for f in self.factors]), _fresh=True)
 
     def storage_count(self) -> int:
         """Number of stored scalars (core plus factors)."""

@@ -27,6 +27,7 @@ from tapprox import (
 )
 
 from helpers import (
+    random_orthonormal,
     random_subspace_triple,
     random_tensor,
     same_subspace,
@@ -494,6 +495,26 @@ def test_long_mode_solve_builds_no_square_array():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_residual_holds_one_projection_beyond_the_input():
+    # The projection is one array the size of t; a copy of it, or the
+    # full-size difference t - P, lifts the peak to about 2x.  bsta_solve's
+    # other full-size temporary, the mode-2 unfolding, is freed before it.
+    rng = np.random.default_rng(7)
+    frames = [random_orthonormal(rng, 100, 10) for _ in range(3)]
+    core = rng.standard_normal((10, 10, 10))
+    t = DenseTensor3(np.einsum("abc,ia,jb,kc->ijk", core, *frames, optimize=True))
+    s = random_subspace_triple(rng, t.dims, (10, 10, 10))
+    opts = BstaOptions(target_ranks=(10, 10, 10))
+    for run in (lambda: bsta_solve(t, opts), lambda: distance(t, s)):
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * t.data.nbytes
 
 
 def test_solver_validates_ranks_against_dims():

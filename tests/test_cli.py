@@ -523,6 +523,7 @@ def parse_bench(out: str):
                 "method": tokens[0],
                 "ranks": tokens[1],
                 "rel_error": float(tokens[2]),
+                "degenerate": tokens[3],
                 "storage": float(tokens[-2]),
             }
         )
@@ -558,10 +559,21 @@ def test_bench_table_and_error_trends(tmp_path, capsys):
 def test_bench_zero_tensor_runs_with_zero_errors(tmp_path, capsys):
     f = str(tmp_path / "z.t3")
     write_tensor_file(f, DenseTensor3(np.zeros((4, 4, 4))))
-    rc, out, err = run_cli(capsys, ["bench", f, "2,2,2"])
+    rc, out, err = run_cli(capsys, ["bench", f, "2,2,2", "2,2,2", "4,4,4"])
     assert rc == 0
-    for row in parse_bench(out):
+    rows = parse_bench(out)
+    assert out.splitlines()[0].split()[3] == "degenerate"
+    assert [r["degenerate"] for r in rows] == ["-", "true"] * 3
+    for row in rows:
         assert row["rel_error"] == 0.0
+    # A repeated warning prints once, so only the column names every row.
+    assert err.count("warning: ") == 2
+    # A regular pick reads false, as the flrta report's degenerate= entry does.
+    write_tensor_file(f, random_tensor(np.random.default_rng(0), (4, 4, 4)))
+    rc, out, _ = run_cli(capsys, ["bench", f, "2,2,2"])
+    assert rc == 0 and [r["degenerate"] for r in parse_bench(out)] == ["-", "false"]
+    rc, out, _ = run_cli(capsys, ["flrta", f, "2", "2", "2", str(tmp_path / "o")])
+    assert rc == 0 and report_dict(out)["degenerate"] == "false"
 
 
 # ---------------------------------------------------------------------------

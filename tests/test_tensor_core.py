@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from tapprox import (
@@ -18,7 +20,13 @@ from tapprox import (
     unfold,
     verify_critical_point,
 )
-from tapprox.tensor_core import numerical_rank
+from tapprox.tensor_core import (
+    _CHUNK,
+    TuckerFactorization,
+    _float_array,
+    _residual_norm,
+    numerical_rank,
+)
 
 from helpers import random_tensor
 
@@ -65,10 +73,69 @@ def test_construction_validates_shape_and_values():
 def test_tensor_is_immutable_and_copies_input():
     src = np.zeros((2, 2, 2))
     t = DenseTensor3(src)
+    flat = DenseTensor3.from_flat(src.ravel(), (2, 2, 2))
     src[0, 0, 0] = 5.0
     assert t.data[0, 0, 0] == 0.0
+    assert flat.data[0, 0, 0] == 0.0
     with pytest.raises(ValueError):
         t.data[0, 0, 0] = 1.0
+
+
+def test_fresh_arrays_are_taken_over_and_still_checked():
+    arr = np.arange(8.0).reshape(2, 2, 2)
+    t = DenseTensor3(arr, _fresh=True)
+    assert np.shares_memory(t.data, arr)
+    assert not t.data.flags.writeable
+    # Taken over only once it is C-ordered float64: anything else is copied.
+    assert not np.shares_memory(DenseTensor3(arr.transpose(2, 1, 0), _fresh=True).data, arr)
+    arr = np.ones((2, 2, 2))
+    arr[1, 1, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        DenseTensor3(arr, _fresh=True)
+    rng = np.random.default_rng(3)
+    factors = tuple(rng.standard_normal((k, 4)) for k in (2, 3, 2))
+    approx = TuckerFactorization(random_tensor(rng, (2, 3, 2)), factors).reconstruct()
+    assert not approx.data.flags.writeable
+    with pytest.raises(ValueError):
+        approx.data[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_finite_check_reaches_the_last_chunk(bad):
+    # The check runs over chunks of the flat array; a bad value in the last,
+    # partial chunk, or in a matrix that is not C-ordered, must still be seen.
+    arr = np.zeros((1, 2, _CHUNK + 1))
+    arr[0, 1, -1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        DenseTensor3(arr, _fresh=True)
+    m = np.zeros((3, _CHUNK))
+    m[2, -1] = bad
+    for view in (m.T, m[::-1], m[:, ::-3]):
+        with pytest.raises(ValueError, match="finite"):
+            _float_array(view)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.tuples(*(st.integers(1, 70) for _ in range(3))),
+    seed=st.integers(0, 2**32 - 1),
+    zero=st.booleans(),
+)
+@example(dims=(1, 300, 300), seed=1, zero=False)
+@example(dims=(6000, 8, 8), seed=2, zero=False)
+@example(dims=(1, 2, _CHUNK), seed=3, zero=False)  # exactly two chunks
+@example(dims=(1, 1, 2 * _CHUNK + 1), seed=4, zero=False)  # two chunks and one value
+@example(dims=(4, 4, 4), seed=5, zero=True)
+@example(dims=(6000, 8, 8), seed=6, zero=True)
+def test_residual_norm_matches_the_full_difference(dims, seed, zero):
+    rng = np.random.default_rng(seed)
+    if zero:
+        a = b = np.zeros(dims)
+    else:
+        a = rng.standard_normal(dims)
+        b = a + rng.standard_normal(dims) * 10.0 ** rng.integers(-8, 3)
+    want = float(np.linalg.norm(a - b))
+    assert abs(_residual_norm(a, b) - want) <= 1e-14 * want
 
 
 def test_from_flat_lexicographic_layout():
