@@ -15,6 +15,10 @@ write each line of a multi-line comment with its own '#', and use 17
 significant digits, so write/read round-trips are bit-exact.  A bad file
 fails with one ValueError line that names the file, the line number and
 the first bad token, non-UTF-8 bytes included; comment lines may hold any.
+A body of equal-length rows with no interior comments is parsed by
+NumPy's C reader; any other body is read by the line reader.  Both give
+the same values and the same diagnostics, and a file that falls back is
+partly read twice.
 
 All reports are deterministic given flags, seeds and input files;
 measured wall time is printed to stderr only, never into a report.
@@ -22,6 +26,7 @@ measured wall time is printed to stderr only, never into a report.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -37,6 +42,7 @@ from .flrta import DEFAULT_TRIALS, flrta_approx, select_indices
 from .tensor_core import (
     DenseTensor3,
     TuckerFactorization,
+    _all_finite,
     _check_ranks,
     _checked_norm,
     _float_array,
@@ -90,11 +96,14 @@ def _report_text(entries) -> str:
 # tensor / matrix files
 
 def _raise_bad_line(path: str, lineno: int, tokens, filled: int, expected: int) -> None:
-    """Raise at the first bad token of a data line ``_read_numeric_file`` rejected.
+    """Raise at the first bad token of a data line the line reader rejected.
 
-    That reader converts a whole line at once; this scan repeats its three
-    tests (parse, finite, count) token by token, so it always raises, and
-    each diagnostic names the first offender in file order.
+    :func:`_read_numeric_lines` converts a whole line at once; this scan
+    repeats its three tests (parse, finite, count) token by token, so it
+    always raises, and each diagnostic names the first offender in file
+    order.  A body NumPy's C reader refuses is read again by the line
+    reader, so every body diagnostic comes from here, whichever reader
+    saw the file first.
     """
     for count, tok in enumerate(tokens, start=filled + 1):
         try:
@@ -117,36 +126,48 @@ def _empty_values(count: int, where: str) -> np.ndarray:
         raise ValueError(f"{where}: {count} values do not fit in memory") from None
 
 
-def _read_numeric_file(path: str, magic: str, ndims: int):
-    dims: tuple[int, ...] | None = None
-    expected = filled = 0
-    values = np.empty(0)
+def _read_header(path: str, magic: str, ndims: int, lines):
+    """Consume ``(lineno, raw)`` pairs through the header line.
+
+    Returns the dims and ``np.empty`` of their product, so a header that
+    no array can hold fails before any of the body is read.
+    """
+    for lineno, raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        want = f"'{magic} " + " ".join(f"n{d + 1}" for d in range(ndims)) + "'"
+        if tokens[0] != magic or len(tokens) != 1 + ndims:
+            raise ValueError(f"{path}: line {lineno}: expected header {want}, got {line!r}")
+        try:
+            dims = tuple(int(tok) for tok in tokens[1:])
+        except ValueError:
+            raise ValueError(
+                f"{path}: line {lineno}: header dimensions must be integers, got {line!r}"
+            ) from None
+        if min(dims) < 1:
+            raise ValueError(f"{path}: line {lineno}: dimensions must be positive, got {dims}")
+        return dims, _empty_values(math.prod(dims), f"{path}: line {lineno}")
+    raise ValueError(f"{path}: missing '{magic}' header line")
+
+
+def _read_numeric_lines(path: str, magic: str, ndims: int):
+    """Read a ``t3``/``m2`` file one line at a time with ``float()``.
+
+    This is the reference reader: it accepts every token ``float()`` takes
+    (``1_0`` and non-ASCII digits too) and raises every diagnostic, each
+    with its line number and first bad token.
+    """
     with open(path, "r", encoding="utf-8", errors="backslashreplace") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        lines = enumerate(fh, start=1)
+        dims, values = _read_header(path, magic, ndims, lines)
+        expected, filled = values.size, 0
+        for lineno, raw in lines:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             tokens = line.split()
-            if dims is None:
-                want = f"'{magic} " + " ".join(f"n{d + 1}" for d in range(ndims)) + "'"
-                if tokens[0] != magic or len(tokens) != 1 + ndims:
-                    raise ValueError(
-                        f"{path}: line {lineno}: expected header {want}, got {line!r}"
-                    )
-                try:
-                    dims = tuple(int(tok) for tok in tokens[1:])
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: line {lineno}: header dimensions must be "
-                        f"integers, got {line!r}"
-                    ) from None
-                if min(dims) < 1:
-                    raise ValueError(
-                        f"{path}: line {lineno}: dimensions must be positive, got {dims}"
-                    )
-                expected = math.prod(dims)
-                values = _empty_values(expected, f"{path}: line {lineno}")
-                continue
             try:
                 row = list(map(float, tokens))
             except ValueError:
@@ -156,11 +177,45 @@ def _read_numeric_file(path: str, magic: str, ndims: int):
                 _raise_bad_line(path, lineno, tokens, filled, expected)
             values[filled:end] = row
             filled = end
-    if dims is None:
-        raise ValueError(f"{path}: missing '{magic}' header line")
     if filled != expected:
         raise ValueError(f"{path}: expected {expected} values, found {filled}")
     return dims, values
+
+
+def _read_numeric_file(path: str, magic: str, ndims: int):
+    """Read a ``t3``/``m2`` file: NumPy's C reader, with the line reader as fallback.
+
+    After the header, ``np.loadtxt`` parses a body of equal-length rows
+    with no interior comments.  If it refuses the body (ragged rows, a
+    comment or '#' after the header, a token only ``float()`` takes), or
+    finds the wrong count or a non-finite value, the whole file is read
+    again by :func:`_read_numeric_lines`.  Both convert tokens with
+    CPython's ``PyOS_string_to_double``, so they give the same values and
+    the same diagnostics; a file that falls back is partly read twice.
+    """
+    with open(path, "r", encoding="utf-8", errors="backslashreplace") as fh:
+        lines = enumerate(fh, start=1)
+        dims = _read_header(path, magic, ndims, lines)[0]
+        expected = math.prod(dims)
+        # loadtxt allocates max_rows rows of the first row's width at once, so
+        # the bound is one row more than a body of such rows needs: at most
+        # expected + width values are read or allocated, however long the body.
+        first = next((raw for _, raw in lines if not raw.isspace()), "")
+        max_rows = expected // max(len(first.split()), 1) + 1
+        try:
+            # An empty body, and blank lines under max_rows, warn; neither
+            # may print, and an empty body falls back on its count.
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                values = np.loadtxt(
+                    itertools.chain([first], fh), dtype=np.float64, comments=None,
+                    ndmin=1, max_rows=max_rows,
+                ).ravel()
+        except ValueError:
+            values = None
+    if values is not None and values.size == expected and _all_finite(values):
+        return dims, values
+    return _read_numeric_lines(path, magic, ndims)
 
 
 def read_tensor_file(path: str) -> DenseTensor3:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from tapprox import (
     DenseTensor3,
     IndexSelection,
     bsta_solve,
+    cli,
     flrta_approx,
     hs_norm,
     multilinear_rank,
@@ -212,6 +214,185 @@ def test_reader_memory_is_linear_in_the_values(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 3 * t.data.nbytes
+
+
+def _read_outcome(path, magic):
+    """``(shape, bytes)`` of what the public reader returns, or its error message."""
+    try:
+        if magic == "t3":
+            arr = read_tensor_file(path).data
+        else:
+            arr = read_matrix_file(path)
+        return arr.shape, arr.tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+def _line_reader_outcome(path, magic):
+    """The same outcome from the line reader called on its own."""
+    try:
+        dims, values = cli._read_numeric_lines(path, magic, 3 if magic == "t3" else 2)
+        return dims, values.tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+def _from_bits(bits: int) -> float:
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+@st.composite
+def _float_files(draw):
+    """A t3 or m2 file of drawn float64 values, written as %.17g or repr, in rows of any width."""
+    dims = draw(st.tuples(*[st.integers(1, 3)] * 3))
+    n = math.prod(dims)
+    element = (
+        st.integers(0, 2**64 - 1).map(_from_bits)
+        | st.sampled_from(_EDGE_VALUES)
+        | st.floats()
+    )
+    fmt = draw(st.sampled_from(["{:.17g}", "{!r}"]))
+    tokens = [fmt.format(v) for v in draw(st.lists(element, min_size=n, max_size=n))]
+    width = draw(st.integers(1, n))
+    magic = draw(st.sampled_from(["t3", "m2"]))
+    shape = dims if magic == "t3" else (n // dims[2], dims[2])
+    header = " ".join(map(str, (magic, *shape)))
+    rows = [" ".join(tokens[i : i + width]) for i in range(0, n, width)]
+    return magic, "\n".join([header, *rows]) + "\n"
+
+
+_TRICKY_TOKENS = [
+    "1_0", "１", "+.5", "5.", "1e400", "nan", "infinity", "0x10", "1d5", "#",
+    "1", "-2.5", "3e-5", "0",
+]
+
+
+@st.composite
+def _tricky_files(draw):
+    """A t3 file of tricky tokens in rows of one width, with drawn separators and a drawn count."""
+    n = draw(st.integers(1, 6))
+    count = draw(st.sampled_from([n - 1, n, n, n + 1]))
+    tokens = draw(st.lists(st.sampled_from(_TRICKY_TOKENS), min_size=count, max_size=count))
+    width = draw(st.integers(1, max(count, 1)))
+    inner = draw(st.sampled_from([" ", "\t", "\x0c", "\xa0", " \t "]))
+    rows = [inner.join(tokens[i : i + width]) for i in range(0, count, width)]
+    breaks = draw(st.lists(
+        st.sampled_from(["\n", "\r\n", "\n\n", "\n \t\n"]), min_size=len(rows), max_size=len(rows)
+    ))
+    return f"t3 1 1 {n}\n" + "".join(row + end for row, end in zip(rows, breaks))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_float_files())
+@example(("t3", "t3 1 1 3\n5e-324 -0 1.7976931348623157e+308\n"))
+@example(("m2", "m2 1 3\n2.2250738585072009e-308 -1.7976931348623157e308 0.0\n"))
+def test_reader_matches_the_line_reader_on_float_bit_patterns(tmp_path_factory, case):
+    magic, text = case
+    path = str(tmp_path_factory.mktemp("bits") / "f.txt")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    assert _read_outcome(path, magic) == _line_reader_outcome(path, magic)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tricky_files())
+@example("t3 1 1 2\n1_0\xa05.\r\n")
+@example("t3 1 1 2\n+.5\n\n１\n")
+@example("t3 1 1 3\n1 2\n3\n")
+def test_reader_matches_the_line_reader_on_tricky_tokens(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("tricky") / "f.t3"
+    path.write_bytes(text.encode("utf-8"))
+    assert _read_outcome(str(path), "t3") == _line_reader_outcome(str(path), "t3")
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        "t3 2 2 2\n1 2\n3 4\n5 6\n7 8\n",
+        "t3 2 2 2\n1 2 3 4 5 6 7 8",
+        "t3 2 2 2\n1\n2\n3\n4\n5\n6\n7\n8\n",
+        "# head\n\nt3 2 2 2\n\n1 2 3 4\n\n \t\n5 6 7 8\n\n",
+        "t3 2 2 2\r\n1\t2\x0c3\xa04\r\n5 6 7 8\r\n",
+    ],
+)
+def test_equal_rows_without_interior_comments_skip_the_line_reader(tmp_path, monkeypatch, content):
+    path = tmp_path / "t.t3"
+    path.write_bytes(content.encode("utf-8"))
+
+    def refuse(*_):
+        raise AssertionError("the line reader ran")
+
+    monkeypatch.setattr(cli, "_read_numeric_lines", refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = read_tensor_file(str(path))
+    assert np.array_equal(t.data.ravel(), np.arange(1.0, 9.0))
+
+
+@pytest.mark.parametrize(
+    "content,expected",
+    [
+        pytest.param("t3 1 1 4\n1 2 3\n4\n", [1, 2, 3, 4], id="ragged-rows"),
+        pytest.param("t3 1 1 4\n# note\n1 2\n3 4\n", [1, 2, 3, 4], id="comment-after-header"),
+        pytest.param(
+            "t3 1 1 4\n1 2 # note\n3 4\n",
+            "line 2: could not parse '#' as a real number",
+            id="hash-after-value",
+        ),
+        pytest.param("t3 1 1 2\n1_0 2\n", [10, 2], id="underscore-digits"),
+        pytest.param("t3 1 1 2\n１ 2\n", [1, 2], id="full-width-digit"),
+        pytest.param("t3 1 1 2\n", "expected 2 values, found 0", id="empty-body"),
+        pytest.param(
+            "t3 1 1 2\n1\n2\n3\n", "line 4: more than 2 values", id="more-rows-than-values"
+        ),
+        pytest.param(
+            "t3 1 1 2\n1 2\n3 4\n", "line 3: more than 2 values", id="more-values-in-rows"
+        ),
+        pytest.param("t3 1 1 3\n1 2\n", "expected 3 values, found 2", id="too-few-values"),
+        pytest.param("t3 1 1 2\n1 1e400\n", "line 2: non-finite value '1e400'", id="non-finite"),
+    ],
+)
+def test_reader_falls_back_to_the_line_reader(tmp_path, monkeypatch, content, expected):
+    path = tmp_path / "t.t3"
+    path.write_bytes(content.encode("utf-8"))
+    line_reader, calls = cli._read_numeric_lines, []
+
+    def spy(*args):
+        calls.append(args)
+        return line_reader(*args)
+
+    monkeypatch.setattr(cli, "_read_numeric_lines", spy)
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as err:
+            read_tensor_file(str(path))
+        assert str(err.value) == f"{path}: {expected}"
+    else:
+        assert read_tensor_file(str(path)).data.ravel().tolist() == expected
+    assert calls == [(str(path), "t3", 3)]
+
+
+def test_empty_body_is_one_error_line_and_no_warning(tmp_path, capsys):
+    path = tmp_path / "empty.t3"
+    path.write_text("t3 1 1 2\n", encoding="utf-8")
+    rc, out, err = run_cli(capsys, ["info", str(path)])
+    assert rc == 1 and out == ""
+    assert err == f"error: {path}: expected 2 values, found 0\n"
+
+
+def test_long_body_under_a_short_header_is_refused_in_little_memory(tmp_path):
+    # The C reader stops one row past a full body; reading the whole body
+    # first would hold all 2e6 rows (an 18 MiB peak).
+    path = tmp_path / "long.t3"
+    path.write_text("t3 2 2 2\n" + "1\n" * 2_000_000, encoding="utf-8")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as err:
+            read_tensor_file(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == f"{path}: line 10: more than 8 values"
+    assert peak < 2**20
 
 
 def test_matrix_file_round_trip(tmp_path):
