@@ -15,10 +15,9 @@ write each line of a multi-line comment with its own '#', and use 17
 significant digits, so write/read round-trips are bit-exact.  A bad file
 fails with one ValueError line that names the file, the line number and
 the first bad token, non-UTF-8 bytes included; comment lines may hold any.
-A body of equal-length rows with no interior comments is parsed by
-NumPy's C reader; any other body is read by the line reader.  Both give
-the same values and the same diagnostics, and a file that falls back is
-partly read twice.
+Each body line is read once: NumPy's C reader parses the body a block of
+lines at a time, and a block it refuses is read token by token with
+``float()``, which gives the same values.
 
 All reports are deterministic given flags, seeds and input files;
 measured wall time is printed to stderr only, never into a report.
@@ -95,29 +94,6 @@ def _report_text(entries) -> str:
 # ---------------------------------------------------------------------------
 # tensor / matrix files
 
-def _raise_bad_line(path: str, lineno: int, tokens, filled: int, expected: int) -> None:
-    """Raise at the first bad token of a data line the line reader rejected.
-
-    :func:`_read_numeric_lines` converts a whole line at once; this scan
-    repeats its three tests (parse, finite, count) token by token, so it
-    always raises, and each diagnostic names the first offender in file
-    order.  A body NumPy's C reader refuses is read again by the line
-    reader, so every body diagnostic comes from here, whichever reader
-    saw the file first.
-    """
-    for count, tok in enumerate(tokens, start=filled + 1):
-        try:
-            val = float(tok)
-        except ValueError:
-            raise ValueError(
-                f"{path}: line {lineno}: could not parse {tok!r} as a real number"
-            ) from None
-        if not math.isfinite(val):
-            raise ValueError(f"{path}: line {lineno}: non-finite value {tok!r}")
-        if count > expected:
-            raise ValueError(f"{path}: line {lineno}: more than {expected} values")
-
-
 def _empty_values(count: int, where: str) -> np.ndarray:
     """``np.empty(count)``, or one ValueError line when it cannot be allocated."""
     try:
@@ -126,13 +102,14 @@ def _empty_values(count: int, where: str) -> np.ndarray:
         raise ValueError(f"{where}: {count} values do not fit in memory") from None
 
 
-def _read_header(path: str, magic: str, ndims: int, lines):
-    """Consume ``(lineno, raw)`` pairs through the header line.
+def _read_header(path: str, magic: str, ndims: int, fh):
+    """Read ``fh`` through the header line.
 
-    Returns the dims and ``np.empty`` of their product, so a header that
-    no array can hold fails before any of the body is read.
+    Returns the dims, ``np.empty`` of their product (so a header that no
+    array can hold fails before any of the body is read) and the header's
+    line number.
     """
-    for lineno, raw in lines:
+    for lineno, raw in enumerate(fh, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -148,74 +125,62 @@ def _read_header(path: str, magic: str, ndims: int, lines):
             ) from None
         if min(dims) < 1:
             raise ValueError(f"{path}: line {lineno}: dimensions must be positive, got {dims}")
-        return dims, _empty_values(math.prod(dims), f"{path}: line {lineno}")
+        return dims, _empty_values(math.prod(dims), f"{path}: line {lineno}"), lineno
     raise ValueError(f"{path}: missing '{magic}' header line")
 
 
-def _read_numeric_lines(path: str, magic: str, ndims: int):
-    """Read a ``t3``/``m2`` file one line at a time with ``float()``.
-
-    This is the reference reader: it accepts every token ``float()`` takes
-    (``1_0`` and non-ASCII digits too) and raises every diagnostic, each
-    with its line number and first bad token.
-    """
-    with open(path, "r", encoding="utf-8", errors="backslashreplace") as fh:
-        lines = enumerate(fh, start=1)
-        dims, values = _read_header(path, magic, ndims, lines)
-        expected, filled = values.size, 0
-        for lineno, raw in lines:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            try:
-                row = list(map(float, tokens))
-            except ValueError:
-                row = None
-            end = filled + len(tokens)
-            if row is None or end > expected or not all(map(math.isfinite, row)):
-                _raise_bad_line(path, lineno, tokens, filled, expected)
-            values[filled:end] = row
-            filled = end
-    if filled != expected:
-        raise ValueError(f"{path}: expected {expected} values, found {filled}")
-    return dims, values
+#: Body lines per ``np.loadtxt`` call; bounds what one call allocates.
+_BLOCK_LINES = 256
 
 
 def _read_numeric_file(path: str, magic: str, ndims: int):
-    """Read a ``t3``/``m2`` file: NumPy's C reader, with the line reader as fallback.
+    """Read a ``t3``/``m2`` file, passing over each body line once.
 
-    After the header, ``np.loadtxt`` parses a body of equal-length rows
-    with no interior comments.  If it refuses the body (ragged rows, a
-    comment or '#' after the header, a token only ``float()`` takes), or
-    finds the wrong count or a non-finite value, the whole file is read
-    again by :func:`_read_numeric_lines`.  Both convert tokens with
-    CPython's ``PyOS_string_to_double``, so they give the same values and
-    the same diagnostics; a file that falls back is partly read twice.
+    Each block of body lines goes to NumPy's C reader.  A block it refuses
+    (ragged rows, a comment or '#', a token only ``float()`` takes), or
+    whose values are not finite or run past the header's count, is read
+    token by token with ``float()`` instead, which raises at the first bad
+    token in file order: parse, then finite, then count.  Both convert
+    with CPython's ``PyOS_string_to_double``, so they give the same values.
     """
     with open(path, "r", encoding="utf-8", errors="backslashreplace") as fh:
-        lines = enumerate(fh, start=1)
-        dims = _read_header(path, magic, ndims, lines)[0]
-        expected = math.prod(dims)
-        # loadtxt allocates max_rows rows of the first row's width at once, so
-        # the bound is one row more than a body of such rows needs: at most
-        # expected + width values are read or allocated, however long the body.
-        first = next((raw for _, raw in lines if not raw.isspace()), "")
-        max_rows = expected // max(len(first.split()), 1) + 1
-        try:
-            # An empty body, and blank lines under max_rows, warn; neither
-            # may print, and an empty body falls back on its count.
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                values = np.loadtxt(
-                    itertools.chain([first], fh), dtype=np.float64, comments=None,
-                    ndmin=1, max_rows=max_rows,
-                ).ravel()
-        except ValueError:
-            values = None
-    if values is not None and values.size == expected and _all_finite(values):
-        return dims, values
-    return _read_numeric_lines(path, magic, ndims)
+        dims, values, lineno = _read_header(path, magic, ndims, fh)
+        expected, filled = values.size, 0
+        while block := list(itertools.islice(fh, _BLOCK_LINES)):
+            try:
+                # A block of blank lines warns "input contained no data".
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    row = np.loadtxt(block, dtype=np.float64, comments=None, ndmin=1).ravel()
+            except ValueError:
+                row = None
+            if row is not None and filled + row.size <= expected and _all_finite(row):
+                values[filled : filled + row.size] = row
+                filled += row.size
+                lineno += len(block)
+                # Let this block go before the next is read: one block at a time.
+                block = row = None
+                continue
+            for lineno, raw in enumerate(block, start=lineno + 1):
+                line = raw.strip()
+                if line.startswith("#"):
+                    continue
+                for tok in line.split():
+                    try:
+                        val = float(tok)
+                    except ValueError:
+                        raise ValueError(
+                            f"{path}: line {lineno}: could not parse {tok!r} as a real number"
+                        ) from None
+                    if not math.isfinite(val):
+                        raise ValueError(f"{path}: line {lineno}: non-finite value {tok!r}")
+                    if filled == expected:
+                        raise ValueError(f"{path}: line {lineno}: more than {expected} values")
+                    values[filled] = val
+                    filled += 1
+    if filled != expected:
+        raise ValueError(f"{path}: expected {expected} values, found {filled}")
+    return dims, values
 
 
 def read_tensor_file(path: str) -> DenseTensor3:
@@ -535,11 +500,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     # bsta and flrta share FILE P Q R OUT_PREFIX, --json and --seed (placed as --help lists it).
     seed = ("--seed", {"type": int, "default": None})
-    for command, summary, written, options in [
+    methods = [
         ("bsta", "best subspace approximation by alternating relaxation", "frames", [
             ("--max-sweeps", {"type": int, "default": BstaOptions.max_sweeps}),
             ("--rel-tol", {"type": float, "default": BstaOptions.rel_tol}),
-            ("--init", {"choices": ("hosvd", "random"), "default": "hosvd"}),
+            ("--init", {"choices": ("hosvd", "random"), "default": BstaOptions.init}),
             seed,
             ("--crit-tol", {"type": float, "default": BstaOptions.crit_tol}),
         ]),
@@ -548,7 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
             seed,
             ("--pinv-tol", {"type": float, "default": None}),
         ]),
-    ]:
+    ]
+    for command, summary, written, options in methods:
         p_solve = sub.add_parser(command, help=summary)
         p_solve.add_argument("file", help="tensor file (t3 format)")
         for name in ("p", "q", "r"):
@@ -565,9 +531,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p_bench.add_argument("--seed", type=int, default=None)
     # bench runs both methods with the defaults of the flags it does not offer.
-    p_bench.set_defaults(func=cmd_bench, max_sweeps=BstaOptions.max_sweeps,
-                         rel_tol=BstaOptions.rel_tol, init=BstaOptions.init,
-                         crit_tol=BstaOptions.crit_tol, pinv_tol=None)
+    p_bench.set_defaults(func=cmd_bench, **{
+        flag[2:].replace("-", "_"): kwargs["default"]
+        for *_, options in methods for flag, kwargs in options
+        if flag not in ("--trials", "--seed")
+    })
 
     return parser
 

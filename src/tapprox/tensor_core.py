@@ -52,22 +52,6 @@ class DenseTensor3:
         arr.flags.writeable = False
         self._data = arr
 
-    @classmethod
-    def from_flat(cls, values, dims: Sequence[int]) -> "DenseTensor3":
-        """Build a tensor from ``m1*m2*m3`` values in lexicographic order.
-
-        The flat layout has the first index slowest and the third index
-        fastest, matching ``self.data.ravel()``.
-        """
-        dims = _three_positive_ints(dims, "dims")
-        flat = np.asarray(values, dtype=np.float64).ravel()
-        expected = math.prod(dims)
-        if flat.size != expected:
-            raise ValueError(
-                f"expected {expected} values for dims {dims}, got {flat.size}"
-            )
-        return cls(flat.reshape(dims))
-
     @property
     def data(self) -> np.ndarray:
         """Read-only ``(m1, m2, m3)`` view of the entries."""

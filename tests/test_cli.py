@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -229,12 +231,40 @@ def _read_outcome(path, magic):
 
 
 def _line_reader_outcome(path, magic):
-    """The same outcome from the line reader called on its own."""
-    try:
-        dims, values = cli._read_numeric_lines(path, magic, 3 if magic == "t3" else 2)
-        return dims, values.tobytes()
-    except ValueError as exc:
-        return str(exc)
+    """The same outcome with every block read by ``float()``: ``np.loadtxt`` refuses them all."""
+    with mock.patch.object(np, "loadtxt", side_effect=ValueError("refused")):
+        return _read_outcome(path, magic)
+
+
+class _ReaderSpy:
+    """What the reader did: whether each ``np.loadtxt`` call refused its
+    block, and every token the reader then read with ``float()``."""
+
+    def __init__(self):
+        self.refused, self.tokens = [], []
+        self._loadtxt = np.loadtxt
+
+    def loadtxt(self, *args, **kwargs):
+        try:
+            arr = self._loadtxt(*args, **kwargs)
+        except ValueError:
+            self.refused.append(True)
+            raise
+        self.refused.append(False)
+        return arr
+
+    def float(self, tok):
+        self.tokens.append(tok)
+        return float(tok)
+
+
+@contextlib.contextmanager
+def _spy_on_reader():
+    spy = _ReaderSpy()
+    # A module global named float shadows the builtin inside cli only.
+    with mock.patch.object(np, "loadtxt", spy.loadtxt), \
+            mock.patch.object(cli, "float", spy.float, create=True):
+        yield spy
 
 
 def _from_bits(bits: int) -> float:
@@ -315,60 +345,132 @@ def test_reader_matches_the_line_reader_on_tricky_tokens(tmp_path_factory, text)
         "t3 2 2 2\r\n1\t2\x0c3\xa04\r\n5 6 7 8\r\n",
     ],
 )
-def test_equal_rows_without_interior_comments_skip_the_line_reader(tmp_path, monkeypatch, content):
+def test_equal_rows_without_interior_comments_skip_the_line_reader(tmp_path, content):
     path = tmp_path / "t.t3"
     path.write_bytes(content.encode("utf-8"))
-
-    def refuse(*_):
-        raise AssertionError("the line reader ran")
-
-    monkeypatch.setattr(cli, "_read_numeric_lines", refuse)
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), _spy_on_reader() as spy:
         warnings.simplefilter("error")
         t = read_tensor_file(str(path))
     assert np.array_equal(t.data.ravel(), np.arange(1.0, 9.0))
+    assert spy.refused == [False] and spy.tokens == []
 
 
 @pytest.mark.parametrize(
-    "content,expected",
+    "content,expected,refused",
     [
-        pytest.param("t3 1 1 4\n1 2 3\n4\n", [1, 2, 3, 4], id="ragged-rows"),
-        pytest.param("t3 1 1 4\n# note\n1 2\n3 4\n", [1, 2, 3, 4], id="comment-after-header"),
+        pytest.param("t3 1 1 4\n1 2 3\n4\n", [1, 2, 3, 4], True, id="ragged-rows"),
+        pytest.param(
+            "t3 1 1 4\n# note\n1 2\n3 4\n", [1, 2, 3, 4], True, id="comment-after-header"
+        ),
         pytest.param(
             "t3 1 1 4\n1 2 # note\n3 4\n",
             "line 2: could not parse '#' as a real number",
+            True,
             id="hash-after-value",
         ),
-        pytest.param("t3 1 1 2\n1_0 2\n", [10, 2], id="underscore-digits"),
-        pytest.param("t3 1 1 2\n１ 2\n", [1, 2], id="full-width-digit"),
-        pytest.param("t3 1 1 2\n", "expected 2 values, found 0", id="empty-body"),
+        pytest.param("t3 1 1 2\n1_0 2\n", [10, 2], True, id="underscore-digits"),
+        pytest.param("t3 1 1 2\n１ 2\n", [1, 2], True, id="full-width-digit"),
+        pytest.param("t3 1 1 2\n", "expected 2 values, found 0", False, id="empty-body"),
         pytest.param(
-            "t3 1 1 2\n1\n2\n3\n", "line 4: more than 2 values", id="more-rows-than-values"
+            "t3 1 1 2\n1\n2\n3\n", "line 4: more than 2 values", True,
+            id="more-rows-than-values",
         ),
         pytest.param(
-            "t3 1 1 2\n1 2\n3 4\n", "line 3: more than 2 values", id="more-values-in-rows"
+            "t3 1 1 2\n1 2\n3 4\n", "line 3: more than 2 values", True,
+            id="more-values-in-rows",
         ),
-        pytest.param("t3 1 1 3\n1 2\n", "expected 3 values, found 2", id="too-few-values"),
-        pytest.param("t3 1 1 2\n1 1e400\n", "line 2: non-finite value '1e400'", id="non-finite"),
+        pytest.param(
+            "t3 1 1 3\n1 2\n", "expected 3 values, found 2", False, id="too-few-values"
+        ),
+        pytest.param(
+            "t3 1 1 2\n1 1e400\n", "line 2: non-finite value '1e400'", True, id="non-finite"
+        ),
     ],
 )
-def test_reader_falls_back_to_the_line_reader(tmp_path, monkeypatch, content, expected):
+def test_reader_falls_back_to_the_line_reader(tmp_path, content, expected, refused):
     path = tmp_path / "t.t3"
     path.write_bytes(content.encode("utf-8"))
-    line_reader, calls = cli._read_numeric_lines, []
+    with _spy_on_reader() as spy:
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as err:
+                read_tensor_file(str(path))
+            assert str(err.value) == f"{path}: {expected}"
+        else:
+            assert read_tensor_file(str(path)).data.ravel().tolist() == expected
+    # The body is one block: float() reads its tokens only if the C reader
+    # refused it, or its values were not finite or ran past the count.
+    assert bool(spy.tokens) == refused
 
-    def spy(*args):
-        calls.append(args)
-        return line_reader(*args)
 
-    monkeypatch.setattr(cli, "_read_numeric_lines", spy)
-    if isinstance(expected, str):
+_ODD_LINES = ["# note", "", " \t", "x", "1 x", "1e400", "nan 1", "1_0", "１ 2"]
+
+
+@st.composite
+def _block_files(draw):
+    """A t3 body of ragged rows, one value short, exact or one over, with
+    comment, blank, unparsable and non-finite lines at any position."""
+    n = draw(st.integers(1, 8))
+    count = draw(st.sampled_from([n - 1, n, n, n + 1]))
+    values = draw(st.lists(st.sampled_from(_EDGE_VALUES), min_size=count, max_size=count))
+    tokens = [f"{v:.17g}" for v in values]
+    rows, i = [], 0
+    while i < count:
+        width = draw(st.integers(1, 3))
+        rows.append(" ".join(tokens[i : i + width]))
+        i += width
+    for line in draw(st.lists(st.sampled_from(_ODD_LINES), max_size=3)):
+        rows.insert(draw(st.integers(0, len(rows))), line)
+    return f"t3 1 1 {n}\n" + "".join(row + "\n" for row in rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_block_files(), block=st.integers(1, 3))
+@example(text="t3 1 1 3\n1\n2\n# note\n3\n", block=1)
+@example(text="t3 1 1 2\n1\n\n2\n3\n", block=2)
+@example(text="t3 1 1 4\n1 2\n3\n4\nnan 1\n", block=3)
+def test_blocks_of_any_length_read_as_the_line_reader_does(tmp_path_factory, text, block):
+    path = str(tmp_path_factory.mktemp("blocks") / "f.t3")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    # The reference reads the whole body as one block, token by token.
+    want = _line_reader_outcome(path, "t3")
+    with mock.patch.object(cli, "_BLOCK_LINES", block):
+        assert _read_outcome(path, "t3") == want
+
+
+def test_bad_token_after_an_accepted_block_names_its_line(tmp_path):
+    path = tmp_path / "t.t3"
+    path.write_text("# head\nt3 1 1 6\n1\n2\n3\n4 x\n5\n", encoding="utf-8")
+    with mock.patch.object(cli, "_BLOCK_LINES", 2), _spy_on_reader() as spy:
         with pytest.raises(ValueError) as err:
             read_tensor_file(str(path))
-        assert str(err.value) == f"{path}: {expected}"
-    else:
-        assert read_tensor_file(str(path)).data.ravel().tolist() == expected
-    assert calls == [(str(path), "t3", 3)]
+    assert str(err.value) == f"{path}: line 6: could not parse 'x' as a real number"
+    assert spy.refused == [False, True] and spy.tokens == ["3", "4", "x"]
+
+
+def test_count_is_exceeded_across_a_block_boundary(tmp_path):
+    path = tmp_path / "t.t3"
+    # The first block fills the count; the second runs past it.
+    path.write_text("t3 1 1 4\n1 2\n3 4\n5 6\n", encoding="utf-8")
+    with mock.patch.object(cli, "_BLOCK_LINES", 2), _spy_on_reader() as spy:
+        with pytest.raises(ValueError) as err:
+            read_tensor_file(str(path))
+    assert str(err.value) == f"{path}: line 4: more than 4 values"
+    assert spy.refused == [False, False] and spy.tokens == ["5"]
+
+
+def test_a_late_comment_refuses_only_its_block(tmp_path):
+    t = random_tensor(np.random.default_rng(130), (30, 30, 2))
+    clean, late = tmp_path / "clean.t3", tmp_path / "late.t3"
+    write_tensor_file(str(clean), t)
+    late.write_text(clean.read_text(encoding="utf-8") + "# end\n", encoding="utf-8")
+    with _spy_on_reader() as spy:
+        back = read_tensor_file(str(late))
+    assert back.data.tobytes() == read_tensor_file(str(clean)).data.tobytes()
+    # 900 body lines span several blocks; only the last, which holds the
+    # comment, is read again, and only its own lines.
+    assert len(spy.refused) > 1 and spy.refused.count(True) == 1 and spy.refused[-1]
+    assert len(spy.tokens) == 2 * (900 % cli._BLOCK_LINES)
 
 
 def test_empty_body_is_one_error_line_and_no_warning(tmp_path, capsys):

@@ -73,10 +73,8 @@ def test_construction_validates_shape_and_values():
 def test_tensor_is_immutable_and_copies_input():
     src = np.zeros((2, 2, 2))
     t = DenseTensor3(src)
-    flat = DenseTensor3.from_flat(src.ravel(), (2, 2, 2))
     src[0, 0, 0] = 5.0
     assert t.data[0, 0, 0] == 0.0
-    assert flat.data[0, 0, 0] == 0.0
     with pytest.raises(ValueError):
         t.data[0, 0, 0] = 1.0
 
@@ -138,24 +136,6 @@ def test_residual_norm_matches_the_full_difference(dims, seed, zero):
     assert abs(_residual_norm(a, b) - want) <= 1e-14 * want
 
 
-def test_from_flat_lexicographic_layout():
-    t = DenseTensor3.from_flat(np.arange(24.0), (2, 3, 4))
-    for i in range(2):
-        for j in range(3):
-            for k in range(4):
-                assert t.data[i, j, k] == i * 12 + j * 4 + k
-    assert np.array_equal(t.data.ravel(), np.arange(24.0))
-
-
-def test_from_flat_rejects_wrong_count():
-    with pytest.raises(ValueError):
-        DenseTensor3.from_flat(np.arange(7.0), (2, 2, 2))
-    # The expected count is exact: a fixed-width product would wrap around.
-    for dims, count in (((10**7,) * 3, 10**21), ((2**32, 2**32, 1), 2**64)):
-        with pytest.raises(ValueError, match=f"expected {count} values"):
-            DenseTensor3.from_flat(np.arange(7.0), dims)
-
-
 # Each size below used to be truncated by int(): 1.9 ran as 1, 2.99 as 2.
 _T333 = DenseTensor3(np.arange(27.0).reshape(3, 3, 3))
 
@@ -166,7 +146,6 @@ _T333 = DenseTensor3(np.arange(27.0).reshape(3, 3, 3))
         lambda: BstaOptions(target_ranks=(1.9, 1, 1)),
         lambda: bsta_solve(_T333, BstaOptions(target_ranks=(2.99, 2, 2))),
         lambda: BstaOptions(target_ranks=(1, 1, 1), max_sweeps=2.9),
-        lambda: DenseTensor3.from_flat(np.zeros(8), (2.0, 2.9, 2)),
         lambda: fold(np.zeros((2, 4)), 1, (2, 2, 2.5)),
         lambda: IndexSelection((3, 3, 3), (1.7,), (0,), (2.2,)),
         lambda: IndexSelection((3.0, 3, 3), (1,), (0,), (2,)),
@@ -174,7 +153,7 @@ _T333 = DenseTensor3(np.arange(27.0).reshape(3, 3, 3))
         lambda: select_indices(_T333, (1, 1, 1), trials=2.5),
     ],
     ids=[
-        "target_ranks", "bsta_solve", "max_sweeps", "from_flat", "fold",
+        "target_ranks", "bsta_solve", "max_sweeps", "fold",
         "index_sets", "selection_dims", "section_sizes", "trials",
     ],
 )
@@ -189,7 +168,6 @@ def test_numpy_integer_sizes_still_pass():
     opts = BstaOptions(target_ranks=np.array([2, 1, 1]), max_sweeps=i(3))
     assert opts.target_ranks == (2, 1, 1) and opts.max_sweeps == 3
     assert type(opts.max_sweeps) is int
-    assert DenseTensor3.from_flat(np.zeros(8), (i(2), i(2), i(2))).dims == (2, 2, 2)
     sel = IndexSelection((i(3), 3, 3), (i(2), i(0)), (i(1),), (i(2),))
     assert sel.dims == (3, 3, 3) and sel.i_set == (0, 2)
     assert select_indices(_T333, (i(1), 1, 1), trials=i(2)).sizes == (1, 1, 1)
