@@ -321,8 +321,8 @@ class Solution:
     work: str
 
 
-def _bsta_options(ranks, seed, args) -> BstaOptions:
-    return BstaOptions(
+def _prepare_bsta(ranks, seed, args):
+    opts = BstaOptions(
         target_ranks=ranks,
         max_sweeps=args.max_sweeps,
         rel_tol=args.rel_tol,
@@ -331,72 +331,86 @@ def _bsta_options(ranks, seed, args) -> BstaOptions:
         crit_tol=args.crit_tol,
     )
 
+    def solve(t, norm) -> Solution:
+        result = bsta_solve(t, opts)
+        head = [
+            ("target_ranks", _fmt_dims(opts.target_ranks)),
+            ("init", opts.init),
+            ("seed", str(opts.seed)),
+            ("max_sweeps", str(opts.max_sweeps)),
+            ("rel_tol", _fmt_float(opts.rel_tol)),
+            ("crit_tol", _fmt_float(opts.crit_tol)),
+            ("hs_norm", _fmt_float(norm)),
+            ("objective_final", _fmt_float(result.objective_history[-1])),
+            ("sweeps", str(result.sweeps)),
+            ("stop_reason", result.stop_reason),
+            ("converged", _fmt_bool(result.converged)),
+            ("critical_point_residual", _fmt_float(result.critical_point_residual)),
+        ]
+        tail = [("objective_history", _fmt_floats(result.objective_history))]
+        return Solution(result.tucker, result.approx_error, head, tail, f"{result.sweeps} sweeps")
 
-def _solve_bsta(t, norm, ranks, seed, args) -> Solution:
-    opts = _bsta_options(ranks, seed, args)
-    result = bsta_solve(t, opts)
-    head = [
-        ("target_ranks", _fmt_dims(opts.target_ranks)),
-        ("init", opts.init),
-        ("seed", str(opts.seed)),
-        ("max_sweeps", str(opts.max_sweeps)),
-        ("rel_tol", _fmt_float(opts.rel_tol)),
-        ("crit_tol", _fmt_float(opts.crit_tol)),
-        ("hs_norm", _fmt_float(norm)),
-        ("objective_final", _fmt_float(result.objective_history[-1])),
-        ("sweeps", str(result.sweeps)),
-        ("stop_reason", result.stop_reason),
-        ("converged", _fmt_bool(result.converged)),
-        ("critical_point_residual", _fmt_float(result.critical_point_residual)),
-    ]
-    tail = [("objective_history", _fmt_floats(result.objective_history))]
-    return Solution(result.tucker, result.approx_error, head, tail, f"{result.sweeps} sweeps")
+    return solve
 
 
-def _check_flrta(sizes, seed, args) -> None:
-    """The rules ``select_indices`` and ``flrta_approx`` apply to the arguments alone."""
+def _prepare_flrta(sizes, seed, args):
+    # The rules select_indices and flrta_approx apply to the arguments alone.
     _three_positive_ints(sizes, "section sizes")
     _positive_int(args.trials, "trials")
     if args.pinv_tol is not None:
         _tolerance(args.pinv_tol, "rank tolerance")
 
+    def solve(t, norm) -> Solution:
+        sel = select_indices(t, sizes, trials=args.trials, seed=seed)
+        fac = flrta_approx(t, sel, pinv_tol=args.pinv_tol)
+        error = _residual_norm(t.data, fac.reconstruct().data)
+        conds = sel.chosen_conditions
+        head = [
+            ("section_sizes", _fmt_dims(sizes)),
+            ("trials", str(args.trials)),
+            ("seed", str(seed)),
+            ("pinv_tol", "auto" if args.pinv_tol is None else _fmt_float(args.pinv_tol)),
+            ("degenerate", _fmt_bool(math.isinf(conds.worst))),
+            ("i_set", _fmt_ints(sel.i_set)),
+            ("j_set", _fmt_ints(sel.j_set)),
+            ("k_set", _fmt_ints(sel.k_set)),
+            ("cond_outer", _fmt_float(conds.cond_outer)),
+            ("cond_slices", _fmt_floats(conds.cond_slices)),
+            ("hs_norm", _fmt_float(norm)),
+        ]
+        return Solution(fac, error, head, [], f"{args.trials} trials")
 
-def _solve_flrta(t, norm, sizes, seed, args) -> Solution:
-    sel = select_indices(t, sizes, trials=args.trials, seed=seed)
-    fac = flrta_approx(t, sel, pinv_tol=args.pinv_tol)
-    error = _residual_norm(t.data, fac.reconstruct().data)
-    conds = sel.chosen_conditions
-    head = [
-        ("section_sizes", _fmt_dims(sizes)),
-        ("trials", str(args.trials)),
-        ("seed", str(seed)),
-        ("pinv_tol", "auto" if args.pinv_tol is None else _fmt_float(args.pinv_tol)),
-        ("degenerate", _fmt_bool(math.isinf(conds.worst))),
-        ("i_set", _fmt_ints(sel.i_set)),
-        ("j_set", _fmt_ints(sel.j_set)),
-        ("k_set", _fmt_ints(sel.k_set)),
-        ("cond_outer", _fmt_float(conds.cond_outer)),
-        ("cond_slices", _fmt_floats(conds.cond_slices)),
-        ("hs_norm", _fmt_float(norm)),
-    ]
-    return Solution(fac, error, head, [], f"{args.trials} trials")
+    return solve
 
 
-#: Per method: argument check (run before the tensor is read), solve helper,
-#: factor-file suffixes, and whether the factors are written transposed.
-#: BSTA writes its frames (m x k); FLRTA writes its sections as factors (k x m).
+_SEED_FLAG = ("--seed", {"type": int, "default": None})
+
+#: Per method: help summary, what its factor files hold, its flags (in the
+#: order --help lists them), the factor-file suffixes, whether the factors
+#: are written transposed, and ``prepare(ranks, seed, args)``, which applies
+#: every argument rule before the tensor is read and returns the solve step
+#: ``solve(t, norm) -> Solution``.  BSTA writes its frames (m x k); FLRTA
+#: writes its sections as factors (k x m).
 _METHODS = {
-    "bsta": (_bsta_options, _solve_bsta, (".x.mat", ".y.mat", ".z.mat"), True),
-    "flrta": (_check_flrta, _solve_flrta, (".c1.mat", ".c2.mat", ".c3.mat"), False),
+    "bsta": ("best subspace approximation by alternating relaxation", "frames", [
+        ("--max-sweeps", {"type": int, "default": BstaOptions.max_sweeps}),
+        ("--rel-tol", {"type": float, "default": BstaOptions.rel_tol}),
+        ("--init", {"choices": ("hosvd", "random"), "default": BstaOptions.init}),
+        _SEED_FLAG,
+        ("--crit-tol", {"type": float, "default": BstaOptions.crit_tol}),
+    ], (".x.mat", ".y.mat", ".z.mat"), True, _prepare_bsta),
+    "flrta": ("fiber-sampling low-rank approximation", "factors", [
+        ("--trials", {"type": int, "default": DEFAULT_TRIALS}),
+        _SEED_FLAG,
+        ("--pinv-tol", {"type": float, "default": None}),
+    ], (".c1.mat", ".c2.mat", ".c3.mat"), False, _prepare_flrta),
 }
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     """Run ``bsta`` or ``flrta``: solve, write factors and core, report."""
-    check, solve, suffixes, transposed = _METHODS[args.command]
-    seed = _resolve_seed(args.seed)
-    ranks = (args.p, args.q, args.r)
-    check(ranks, seed, args)
+    *_, suffixes, transposed, prepare = _METHODS[args.command]
+    solve = prepare((args.p, args.q, args.r), _resolve_seed(args.seed), args)
     prefix = args.out_prefix
     if not os.path.basename(prefix):
         raise ValueError(f"output prefix {prefix!r} names no file; give one, as in 'out/run'")
@@ -412,7 +426,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     t = read_tensor_file(args.file)
     norm = hs_norm(t)
     start = time.perf_counter()
-    sol = solve(t, norm, ranks, seed, args)
+    sol = solve(t, norm)
     wall = time.perf_counter() - start
 
     for suffix, factor in zip(suffixes, sol.tucker.factors):
@@ -444,23 +458,24 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
-    for ranks in args.ranks:
-        for check, *_ in _METHODS.values():
-            check(ranks, seed, args)
+    steps = [
+        (method, ranks, prepare(ranks, seed, args))
+        for ranks in args.ranks
+        for method, (*_, prepare) in _METHODS.items()
+    ]
     t = read_tensor_file(args.file)
     norm = hs_norm(t)
 
     rows = []
-    for ranks in args.ranks:
-        for method, (_, solve, _, _) in _METHODS.items():
-            start = time.perf_counter()
-            sol = solve(t, norm, ranks, seed, args)
-            wall = time.perf_counter() - start
-            rel = _rel_error(sol.error, norm)
-            # FLRTA's report entry; BSTA selects no indices, so its rows read "-".
-            degenerate = dict(sol.head).get("degenerate", "-")
-            ratio = sol.tucker.storage_count() / t.size
-            rows.append((method, ranks, rel, degenerate, sol.work, ratio, wall))
+    for method, ranks, solve in steps:
+        start = time.perf_counter()
+        sol = solve(t, norm)
+        wall = time.perf_counter() - start
+        rel = _rel_error(sol.error, norm)
+        # FLRTA's report entry; BSTA selects no indices, so its rows read "-".
+        degenerate = dict(sol.head).get("degenerate", "-")
+        ratio = sol.tucker.storage_count() / t.size
+        rows.append((method, ranks, rel, degenerate, sol.work, ratio, wall))
 
     header = (
         f"{'method':<8}{'ranks':<12}{'rel_error':<18}{'degenerate':<12}{'work':<14}"
@@ -498,23 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=None)
     p_gen.set_defaults(func=cmd_gen)
 
-    # bsta and flrta share FILE P Q R OUT_PREFIX, --json and --seed (placed as --help lists it).
-    seed = ("--seed", {"type": int, "default": None})
-    methods = [
-        ("bsta", "best subspace approximation by alternating relaxation", "frames", [
-            ("--max-sweeps", {"type": int, "default": BstaOptions.max_sweeps}),
-            ("--rel-tol", {"type": float, "default": BstaOptions.rel_tol}),
-            ("--init", {"choices": ("hosvd", "random"), "default": BstaOptions.init}),
-            seed,
-            ("--crit-tol", {"type": float, "default": BstaOptions.crit_tol}),
-        ]),
-        ("flrta", "fiber-sampling low-rank approximation", "factors", [
-            ("--trials", {"type": int, "default": DEFAULT_TRIALS}),
-            seed,
-            ("--pinv-tol", {"type": float, "default": None}),
-        ]),
-    ]
-    for command, summary, written, options in methods:
+    # bsta and flrta share FILE P Q R OUT_PREFIX and --json.
+    for command, (summary, written, options, *_) in _METHODS.items():
         p_solve = sub.add_parser(command, help=summary)
         p_solve.add_argument("file", help="tensor file (t3 format)")
         for name in ("p", "q", "r"):
@@ -533,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     # bench runs both methods with the defaults of the flags it does not offer.
     p_bench.set_defaults(func=cmd_bench, **{
         flag[2:].replace("-", "_"): kwargs["default"]
-        for *_, options in methods for flag, kwargs in options
+        for _, _, options, *_ in _METHODS.values() for flag, kwargs in options
         if flag not in ("--trials", "--seed")
     })
 

@@ -15,6 +15,7 @@ from tapprox import (
     bsta_solve,
     coefficient_tensor,
     distance,
+    fold,
     hosvd_init,
     hs_norm,
     project,
@@ -411,8 +412,8 @@ def long_mode_case(draw):
     return DenseTensor3(data), ranks, draw(st.sampled_from(("hosvd", "random")))
 
 
-def _long(dims, ranks, init="hosvd", zero=False):
-    data = np.zeros(dims) if zero else np.random.default_rng(3).standard_normal(dims)
+def _long(dims, ranks, init="hosvd", zero=False, seed=3):
+    data = np.zeros(dims) if zero else np.random.default_rng(seed).standard_normal(dims)
     return DenseTensor3(data), ranks, init
 
 
@@ -425,22 +426,24 @@ def _long(dims, ranks, init="hosvd", zero=False):
 @example(_long((2, 1, 1), (2, 1, 1)))  # rank above the product of the other dims
 @example(_long((30, 2, 3), (5, 1, 1)))  # rank above the product of the other ranks
 @example(_long((2, 3, 25), (2, 2, 3), zero=True))
+# Near a tie: a start taken on t, not on its compression, drifts 1.05e-12 |t|^2.
+@example(_long((29, 3, 3), (1, 2, 1), seed=25))
+@example(_long((29, 3, 3), (1, 2, 1), init="random", seed=25))
 def test_compressed_sweeps_match_the_sweeps_on_the_full_tensor(case):
     t, ranks, init = case
     res = bsta_solve(t, BstaOptions(target_ranks=ranks, init=init, seed=7, max_sweeps=20))
+    # The solver takes either start on the tensor it sweeps: t, or with a long
+    # mode j its compression fold(S V^T), from the thin SVD Q S V^T of the
+    # mode-j unfolding.  Q maps mode j's frame into the full mode space.
     j = tapprox.bsta._long_mode(t.dims, ranks)
-    if init == "hosvd":
-        s = hosvd_init(t, ranks)
-    elif j is None:
-        s = random_triple(t.dims, ranks, seed=7)
-    else:
-        # The solver draws a random start in the compressed dims; Q maps it
-        # into the full mode space.
-        q = np.linalg.svd(unfold(t, j + 1), full_matrices=False)[0]
+    work = t
+    if j is not None:
+        q, sv, vh = np.linalg.svd(unfold(t, j + 1), full_matrices=False)
         dims = tuple(q.shape[1] if k == j else m for k, m in enumerate(t.dims))
-        s = list(random_triple(dims, ranks, seed=7))
-        s[j] = Subspace(q @ s[j].frame)
-        s = SubspaceTriple(*s)
+        work = fold(sv[:, None] * vh, j + 1, dims)
+    s = hosvd_init(work, ranks) if init == "hosvd" else random_triple(work.dims, ranks, seed=7)
+    if j is not None:
+        s = SubspaceTriple(*s[:j], Subspace(q @ s[j].frame), *s[j + 1 :])
     history = []
     for _ in range(res.sweeps):
         s, fs = relaxation_sweep(t, s)
@@ -461,7 +464,7 @@ def test_sweeps_run_on_the_compressed_tensor(monkeypatch):
     sweep = tapprox.bsta.relaxation_sweep
 
     def spy(t, s):
-        seen.append(t.dims)
+        seen.append((t, s))
         return sweep(t, s)
 
     monkeypatch.setattr(tapprox.bsta, "relaxation_sweep", spy)
@@ -479,8 +482,16 @@ def test_sweeps_run_on_the_compressed_tensor(monkeypatch):
         seen.clear()
         opts = BstaOptions(target_ranks=ranks, init=init, max_sweeps=3, rel_tol=1e-30)
         res = bsta_solve(random_tensor(rng, dims), opts)
-        assert seen == expected, (dims, ranks, init)
+        assert [work.dims for work, _ in seen] == expected, (dims, ranks, init)
         assert res.subspaces.ambient_dims == dims
+        # The first sweep starts from the chosen init on the tensor it sweeps.
+        work, first = seen[0]
+        if init == "hosvd":
+            start = hosvd_init(work, ranks)
+        else:
+            start = random_triple(work.dims, ranks, opts.seed)
+        for got, want in zip(first, start):
+            assert np.array_equal(got.frame, want.frame), (dims, ranks, init)
 
 
 def test_long_mode_solve_builds_no_square_array():
