@@ -102,13 +102,12 @@ def _empty_values(count: int, where: str) -> np.ndarray:
         raise ValueError(f"{where}: {count} values do not fit in memory") from None
 
 
-def _read_header(path: str, magic: str, ndims: int, fh):
-    """Read ``fh`` through the header line.
+def _open_text(path: str):
+    return open(path, "r", encoding="utf-8", errors="backslashreplace")
 
-    Returns the dims, ``np.empty`` of their product (so a header that no
-    array can hold fails before any of the body is read) and the header's
-    line number.
-    """
+
+def _read_header(path: str, magic: str, ndims: int, fh):
+    """Read ``fh`` through the header line; return the dims and the header's line number."""
     for lineno, raw in enumerate(fh, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -125,7 +124,7 @@ def _read_header(path: str, magic: str, ndims: int, fh):
             ) from None
         if min(dims) < 1:
             raise ValueError(f"{path}: line {lineno}: dimensions must be positive, got {dims}")
-        return dims, _empty_values(math.prod(dims), f"{path}: line {lineno}"), lineno
+        return dims, lineno
     raise ValueError(f"{path}: missing '{magic}' header line")
 
 
@@ -143,8 +142,10 @@ def _read_numeric_file(path: str, magic: str, ndims: int):
     token in file order: parse, then finite, then count.  Both convert
     with CPython's ``PyOS_string_to_double``, so they give the same values.
     """
-    with open(path, "r", encoding="utf-8", errors="backslashreplace") as fh:
-        dims, values, lineno = _read_header(path, magic, ndims, fh)
+    with _open_text(path) as fh:
+        dims, lineno = _read_header(path, magic, ndims, fh)
+        # A header that no array can hold fails before any of the body is read.
+        values = _empty_values(math.prod(dims), f"{path}: line {lineno}")
         expected, filled = values.size, 0
         while block := list(itertools.islice(fh, _BLOCK_LINES)):
             try:
@@ -228,9 +229,7 @@ def _triple(text: str) -> tuple[int, int, int]:
     except ValueError:
         parts = ()
     if len(parts) != 3:
-        raise argparse.ArgumentTypeError(
-            f"expected three comma-separated integers, got {text!r}"
-        )
+        raise argparse.ArgumentTypeError(f"expected three comma-separated integers, got {text!r}")
     return parts  # type: ignore[return-value]
 
 
@@ -244,10 +243,6 @@ def _resolve_seed(flag_value: int | None) -> int:
     except ValueError:
         raise ValueError(f"{source} must be an integer, got {value!r}") from None
     return _seed(seed, source)
-
-
-def _rel_error(error: float, norm: float) -> float:
-    return error / norm if norm > 0.0 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +264,8 @@ def cmd_info(args: argparse.Namespace) -> int:
 def cmd_gen(args: argparse.Namespace) -> int:
     dims, mlrank = _three_positive_ints(args.dims, "dims"), args.mlrank
     _check_ranks(dims, mlrank, "mlrank")
+    if max(mlrank) ** 2 > math.prod(mlrank):
+        raise ValueError(f"mlrank {mlrank}: no rank may exceed the product of the other two")
     _tolerance(args.noise, "noise standard deviation")
     # Refuse dims that no array can hold before drawing anything.
     _empty_values(math.prod(dims), f"dims {_fmt_dims(dims)}")
@@ -385,12 +382,12 @@ def _prepare_flrta(sizes, seed, args):
 
 _SEED_FLAG = ("--seed", {"type": int, "default": None})
 
-#: Per method: help summary, what its factor files hold, its flags (in the
-#: order --help lists them), the factor-file suffixes, whether the factors
-#: are written transposed, and ``prepare(ranks, seed, args)``, which applies
-#: every argument rule before the tensor is read and returns the solve step
-#: ``solve(t, norm) -> Solution``.  BSTA writes its frames (m x k); FLRTA
-#: writes its sections as factors (k x m).
+#: Per method: help summary, what its factor files hold, its flags (in
+#: --help order), what its errors call the ranks, the factor-file suffixes,
+#: whether the factors are written transposed, and ``prepare(ranks, seed,
+#: args)``, which applies every argument rule before the tensor is read and
+#: returns the solve step ``solve(t, norm) -> Solution``.  BSTA writes its
+#: frames (m x k); FLRTA writes its sections as factors (k x m).
 _METHODS = {
     "bsta": ("best subspace approximation by alternating relaxation", "frames", [
         ("--max-sweeps", {"type": int, "default": BstaOptions.max_sweeps}),
@@ -398,19 +395,43 @@ _METHODS = {
         ("--init", {"choices": ("hosvd", "random"), "default": BstaOptions.init}),
         _SEED_FLAG,
         ("--crit-tol", {"type": float, "default": BstaOptions.crit_tol}),
-    ], (".x.mat", ".y.mat", ".z.mat"), True, _prepare_bsta),
+    ], "target ranks", (".x.mat", ".y.mat", ".z.mat"), True, _prepare_bsta),
     "flrta": ("fiber-sampling low-rank approximation", "factors", [
         ("--trials", {"type": int, "default": DEFAULT_TRIALS}),
         _SEED_FLAG,
         ("--pinv-tol", {"type": float, "default": None}),
-    ], (".c1.mat", ".c2.mat", ".c3.mat"), False, _prepare_flrta),
+    ], "section sizes", (".c1.mat", ".c2.mat", ".c3.mat"), False, _prepare_flrta),
 }
 
 
+def _run(args: argparse.Namespace, rows):
+    """The run path of ``bsta``, ``flrta`` and ``bench``: solve each ``(method, ranks)`` row.
+
+    Checks every option, then each row's ranks against the header's dims as
+    its solver would, then reads the body once.  Returns the tensor and one
+    ``(Solution, relative error, wall seconds)`` per row.
+    """
+    seed = _resolve_seed(args.seed)
+    solves = [_METHODS[method][-1](ranks, seed, args) for method, ranks in rows]
+    if os.path.isfile(args.file):  # a pipe could not be read again
+        with _open_text(args.file) as fh:
+            dims, _ = _read_header(args.file, "t3", 3, fh)
+        for method, ranks in rows:
+            _check_ranks(dims, ranks, _METHODS[method][3])
+    t = read_tensor_file(args.file)
+    norm = hs_norm(t)
+    runs = []
+    for solve in solves:
+        start = time.perf_counter()
+        sol = solve(t, norm)
+        wall = time.perf_counter() - start
+        runs.append((sol, sol.error / norm if norm > 0.0 else 0.0, wall))
+    return t, runs
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
-    """Run ``bsta`` or ``flrta``: solve, write factors and core, report."""
-    *_, suffixes, transposed, prepare = _METHODS[args.command]
-    solve = prepare((args.p, args.q, args.r), _resolve_seed(args.seed), args)
+    """Run ``bsta`` or ``flrta``: check the output prefix, solve, write factors and core, report."""
+    *_, suffixes, transposed, _ = _METHODS[args.command]
     prefix = args.out_prefix
     if not os.path.basename(prefix):
         raise ValueError(f"output prefix {prefix!r} names no file; give one, as in 'out/run'")
@@ -423,11 +444,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         # samefile sees through symlinks and hard links.
         if os.path.exists(out) and os.path.exists(args.file) and os.path.samefile(out, args.file):
             raise ValueError(f"output {out!r} would overwrite the input file {args.file!r}")
-    t = read_tensor_file(args.file)
-    norm = hs_norm(t)
-    start = time.perf_counter()
-    sol = solve(t, norm)
-    wall = time.perf_counter() - start
+    t, [(sol, rel, wall)] = _run(args, [(args.command, (args.p, args.q, args.r))])
 
     for suffix, factor in zip(suffixes, sol.tucker.factors):
         write_matrix_file(prefix + suffix, factor.T if transposed else factor)
@@ -439,7 +456,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         ("dims", _fmt_dims(t.dims)),
         *sol.head,
         ("error_abs", _fmt_float(sol.error)),
-        ("error_rel", _fmt_float(_rel_error(sol.error, norm))),
+        ("error_rel", _fmt_float(rel)),
         ("storage_dense", str(t.size)),
         ("storage_factorized", str(stored)),
         ("storage_ratio", _fmt_float(stored / t.size)),
@@ -457,34 +474,18 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args.seed)
-    steps = [
-        (method, ranks, prepare(ranks, seed, args))
-        for ranks in args.ranks
-        for method, (*_, prepare) in _METHODS.items()
-    ]
-    t = read_tensor_file(args.file)
-    norm = hs_norm(t)
-
-    rows = []
-    for method, ranks, solve in steps:
-        start = time.perf_counter()
-        sol = solve(t, norm)
-        wall = time.perf_counter() - start
-        rel = _rel_error(sol.error, norm)
-        # FLRTA's report entry; BSTA selects no indices, so its rows read "-".
-        degenerate = dict(sol.head).get("degenerate", "-")
-        ratio = sol.tucker.storage_count() / t.size
-        rows.append((method, ranks, rel, degenerate, sol.work, ratio, wall))
-
-    header = (
+    rows = [(method, ranks) for ranks in args.ranks for method in _METHODS]
+    t, runs = _run(args, rows)
+    print(
         f"{'method':<8}{'ranks':<12}{'rel_error':<18}{'degenerate':<12}{'work':<14}"
         f"{'storage':<12}{'wall_s':<10}"
     )
-    print(header)
-    for method, ranks, rel, degenerate, work, ratio, wall in rows:
+    for (method, ranks), (sol, rel, wall) in zip(rows, runs):
+        # FLRTA's report entry; BSTA selects no indices, so its rows read "-".
+        degenerate = dict(sol.head).get("degenerate", "-")
+        ratio = sol.tucker.storage_count() / t.size
         print(
-            f"{method:<8}{_fmt_dims(ranks):<12}{rel:<18.9e}{degenerate:<12}{work:<14}"
+            f"{method:<8}{_fmt_dims(ranks):<12}{rel:<18.9e}{degenerate:<12}{sol.work:<14}"
             f"{ratio:<12.6f}{wall:<10.3f}"
         )
     return 0
@@ -528,13 +529,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="compare both methods over a list of ranks")
     p_bench.add_argument("file", help="tensor file (t3 format)")
     p_bench.add_argument("ranks", type=_triple, nargs="+", metavar="P,Q,R")
-    p_bench.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    p_bench.add_argument("--seed", type=int, default=None)
-    # bench runs both methods with the defaults of the flags it does not offer.
+    # bench offers --trials and --seed, and runs both methods with the other flags' defaults.
+    options = dict(option for _, _, opts, *_ in _METHODS.values() for option in opts)
+    for flag in ("--trials", "--seed"):
+        p_bench.add_argument(flag, **options.pop(flag))
     p_bench.set_defaults(func=cmd_bench, **{
-        flag[2:].replace("-", "_"): kwargs["default"]
-        for _, _, options, *_ in _METHODS.values() for flag, kwargs in options
-        if flag not in ("--trials", "--seed")
+        flag[2:].replace("-", "_"): kwargs["default"] for flag, kwargs in options.items()
     })
 
     return parser

@@ -1,4 +1,5 @@
 import contextlib
+import io
 import json
 import math
 import os
@@ -11,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
@@ -544,6 +545,8 @@ def test_gen_validates_mlrank(tmp_path, capsys):
     base = ["gen", str(out_file), "--dims", "3,3,3"]
     for extra in (
         ["--mlrank", "4,1,1"],
+        # No tensor has it: a mode's rank is at most the product of the other two.
+        ["--mlrank", "3,1,1"],
         ["--mlrank", "1,1,1", "--noise", "nan"],
         ["--mlrank", "1,1,1", "--noise", "inf"],
         ["--mlrank", "1,1,1", "--noise", "-1"],
@@ -553,6 +556,33 @@ def test_gen_validates_mlrank(tmp_path, capsys):
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert not out_file.exists()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    mlrank=st.tuples(*[st.integers(1, 5)] * 3),
+    seed=st.integers(0, 2**16),
+)
+@example(mlrank=(5, 1, 1), seed=0)
+@example(mlrank=(5, 2, 2), seed=0)
+@example(mlrank=(4, 2, 2), seed=0)
+def test_gen_writes_its_mlrank_or_refuses_it(tmp_path_factory, mlrank, seed):
+    # gen --dims 6,6,6 --mlrank 5,2,2 once wrote a tensor whose rank read 4x2x2.
+    out_file = tmp_path_factory.mktemp("gen") / "t.t3"
+    text = ",".join(map(str, mlrank))
+    argv = ["gen", str(out_file), "--dims", "6,6,6", "--mlrank", text, "--seed", str(seed)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    if max(mlrank) ** 2 > math.prod(mlrank):
+        assert rc == 1
+        assert err.getvalue() == (
+            f"error: mlrank {mlrank}: no rank may exceed the product of the other two\n"
+        )
+        assert not out_file.exists()
+    else:
+        assert rc == 0
+        assert multilinear_rank(read_tensor_file(str(out_file))) == mlrank
 
 
 @pytest.mark.parametrize("dims", ["0,5,5", "-3,5,5"])
@@ -968,6 +998,7 @@ def test_prefix_without_a_file_name_fails_before_the_tensor_is_read(
         raise AssertionError("read the tensor before the output prefix was checked")
 
     monkeypatch.setattr("tapprox.cli.read_tensor_file", never)
+    monkeypatch.setattr("tapprox.cli._read_header", never)
     rc, out, err = run_cli(capsys, [method, "t.t3", "2", "2", "2", prefix])
     assert rc == 1 and out == ""
     assert err.startswith(f"error: output prefix {prefix!r} names no file"), err
@@ -995,15 +1026,116 @@ def test_output_that_is_the_input_fails_before_the_tensor_is_read(
     if link is not None:
         link(infile, output)
     files = sorted(os.listdir(tmp_path))
-    reads = []
+    reads, read_header = [], cli._read_header
     monkeypatch.setattr(
         "tapprox.cli.read_tensor_file", lambda path: reads.append(path) or read_tensor_file(path)
+    )
+    # Reading the header counts as a read too: it comes before the body.
+    monkeypatch.setattr(
+        "tapprox.cli._read_header",
+        lambda path, *rest: reads.append(path) or read_header(path, *rest),
     )
     rc, out, err = run_cli(capsys, [method, infile, "2", "2", "2", "run", *flags])
     assert (rc, out, reads) == (1, "", [])
     assert err == f"error: output {output!r} would overwrite the input file {infile!r}\n"
     assert (tmp_path / infile).read_bytes() == before
     assert sorted(os.listdir(tmp_path)) == files
+
+
+_OVER_RANKS = [
+    (["bsta", "h.t3", "4", "2", "2", "o"], "target ranks (4, 2, 2)"),
+    (["flrta", "h.t3", "2", "2", "4", "o"], "section sizes (2, 2, 4)"),
+    (["bench", "h.t3", "2,2,2", "4,2,2"], "target ranks (4, 2, 2)"),
+]
+
+
+@pytest.mark.parametrize("argv, what", _OVER_RANKS, ids=["bsta", "flrta", "bench"])
+def test_rank_above_its_dimension_fails_once_the_header_is_read(
+    tmp_path, capsys, monkeypatch, argv, what
+):
+    # The file holds no values: the rank error must come from the header
+    # alone, not "expected 27 values, found 0" after the body.
+    (tmp_path / "h.t3").write_text("t3 3 3 3\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run_cli(capsys, argv)
+    assert (rc, out, err) == (1, "", f"error: {what} out of range for dims (3, 3, 3)\n")
+    assert os.listdir(tmp_path) == ["h.t3"]
+
+
+def test_bench_checks_every_row_before_it_solves_one(tmp_path, capsys, monkeypatch):
+    f = str(tmp_path / "t.t3")
+    write_tensor_file(f, random_tensor(np.random.default_rng(0), (3, 3, 3)))
+
+    def never(*args, **kwargs):
+        raise AssertionError("solved a row before every row was checked")
+
+    monkeypatch.setattr("tapprox.cli.bsta_solve", never)
+    monkeypatch.setattr("tapprox.cli.select_indices", never)
+    rc, out, err = run_cli(capsys, ["bench", f, "2,2,2", "4,2,2"])
+    assert (rc, out) == (1, "")
+    assert err == "error: target ranks (4, 2, 2) out of range for dims (3, 3, 3)\n"
+
+
+@st.composite
+def _dims_and_ranks(draw):
+    dims = tuple(draw(st.integers(1, 5)) for _ in range(3))
+    return dims, tuple(draw(st.integers(1, m + 2)) for m in dims)
+
+
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(_dims_and_ranks())
+@example(((1, 4, 4), (2, 1, 1)))
+@example(((1, 5, 5), (1, 6, 5)))
+@example(((1, 3, 3), (1, 3, 3)))
+def test_header_rank_check_says_what_the_solvers_say(tmp_path_factory, capsys, case):
+    dims, ranks = case
+    # Gaussian entries keep the norm in range; select_indices checks it before the sizes.
+    t = random_tensor(np.random.default_rng(list(dims + ranks)), dims)
+    d = tmp_path_factory.mktemp("ranks")
+    full, header = str(d / "t.t3"), str(d / "h.t3")
+    write_tensor_file(full, t)
+    Path(header).write_text("t3 {} {} {}\n".format(*dims), encoding="utf-8")
+    solvers = {
+        "bsta": lambda: bsta_solve(t, BstaOptions(target_ranks=ranks)),
+        "flrta": lambda: select_indices(t, ranks),
+    }
+    for method, solve in solvers.items():
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                solve()
+        except ValueError as exc:
+            expected = f"error: {exc}\n"
+        else:
+            expected = None
+        for path in (full, header):
+            rc, out, err = run_cli(capsys, [method, path, *map(str, ranks), str(d / method)])
+            if expected is not None:
+                assert (rc, out, err) == (1, "", expected), (method, path)
+            elif path == full:
+                assert rc == 0, err
+            else:
+                assert err == f"error: {header}: expected {t.size} values, found 0\n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_a_pipe_is_read_once(tmp_path, capsys):
+    # A pipe, as in `bsta <(zcat t.t3.gz) ...`, has no header to read ahead of the body.
+    f = tmp_path / "t.t3"
+    write_tensor_file(str(f), random_tensor(np.random.default_rng(0), (4, 4, 4)))
+    for ranks, want in (["2", "2", "2"], 0), (["5", "2", "2"], 1):
+        r, w = os.pipe()
+        os.write(w, f.read_bytes())
+        os.close(w)
+        try:
+            rc, out, err = run_cli(capsys, ["bsta", f"/dev/fd/{r}", *ranks, str(tmp_path / "o")])
+        finally:
+            os.close(r)
+        assert rc == want, err
+    assert report_dict((tmp_path / "o.report.txt").read_text())["dims"] == "4x4x4"
+    assert err == "error: target ranks (5, 2, 2) out of range for dims (4, 4, 4)\n"
 
 
 def test_env_seed_is_used_and_flag_wins(tmp_path, capsys, monkeypatch):
