@@ -34,10 +34,12 @@ from .tensor_core import (
     _check_mode,
     _check_ranks,
     _checked_norm,
+    _mode_product,
     _positive_int,
     _seed,
     _three_positive_ints,
     _tolerance,
+    _unfold,
     fold,
     hs_norm,
     unfold,
@@ -132,30 +134,18 @@ def projected_operator(t: DenseTensor3, mode: int, a: Subspace, b: Subspace) -> 
     mode-``mode`` unfolding of ``t``, which is what lets :func:`bsta_solve`
     sweep on a compressed tensor when that mode is long.
 
-    The operator is two matrix products on reshapes of the C-ordered
-    data.  The first reads the tensor with ``a``'s transposed frame on
-    the left: ``a^T @ data`` slice by slice for mode 1, and
-    ``a^T @ data.reshape(m1, m2*m3)`` for modes 2 and 3.  The second
-    contracts ``b`` on that ``k_a``-times smaller result.
+    It is ``t``'s mode products with ``a``'s, then ``b``'s transposed frame
+    (``tensor_core._mode_product``), unfolded by ``tensor_core._unfold``.
     """
     ax = _check_mode(mode)
-    rest = [k for k in range(3) if k != ax]
-    expected = (t.dims[rest[0]], t.dims[rest[1]])
+    lo, hi = (k for k in range(3) if k != ax)
+    expected = (t.dims[lo], t.dims[hi])
     got = (a.ambient_dim, b.ambient_dim)
     if got != expected:
         raise ValueError(
             f"ambient dims {got} do not match the non-mode-{mode} tensor dims {expected}"
         )
-    m1, m2, m3 = t.dims
-    if mode == 1:
-        out = (a.frame.T @ t.data).reshape(-1, m3) @ b.frame  # (m1 * ka, kb)
-    else:
-        w = (a.frame.T @ t.data.reshape(m1, -1)).reshape(-1, m2, m3)  # (ka, m2, m3)
-        if mode == 2:
-            out = (w.reshape(-1, m3) @ b.frame).reshape(-1, m2, b.dim).transpose(1, 0, 2)
-        else:
-            out = (b.frame.T @ w).transpose(2, 0, 1)  # (m3, ka, kb)
-    return out.reshape(t.dims[ax], -1)
+    return _unfold(_mode_product(_mode_product(t.data, a.frame.T, lo), b.frame.T, hi), ax)
 
 
 def _dominant_left_frame(m: np.ndarray, k: int) -> np.ndarray:

@@ -32,6 +32,7 @@ from .tensor_core import (
     _rank_cutoff,
     _seed,
     _three_positive_ints,
+    _unfold,
 )
 
 DEFAULT_TRIALS = 20
@@ -178,14 +179,10 @@ def flrta_approx(t: DenseTensor3, sel: IndexSelection, pinv_tol: float | None = 
     """
     _checked_norm(t)
     s1, s2, s3 = sections(t, sel)
-    l1, l2, l3 = t.dims
     p, q, r = sel.sizes
 
-    # Sections, reshaped as factor matrices (rows pack the two sampled
-    # indices lexicographically; columns run over the free mode).
-    c1 = s1.data.transpose(1, 2, 0).reshape(q * r, l1)
-    c2 = s2.data.transpose(0, 2, 1).reshape(p * r, l2)
-    c3 = s3.data.reshape(p * q, l3)
+    # Factor j is section j's mode-j unfolding, transposed.
+    c1, c2, c3 = (_unfold(sec.data, ax).T for ax, sec in enumerate((s1, s2, s3)))
 
     # Interpolation weights across mode 3, and within each selected slice.
     outer, slices = _cross_blocks(s3.data, sel.k_set)

@@ -140,12 +140,24 @@ def _residual_norm(a: np.ndarray, b: np.ndarray) -> float:
     return math.sqrt(total)
 
 
+def _mode_product(data: np.ndarray, mat: np.ndarray, ax: int) -> np.ndarray:
+    """``data x_{ax+1} mat`` for a ``k x m_ax`` ``mat``: one matrix product, no copy of ``data``."""
+    if ax == 0:
+        return (mat @ data.reshape(data.shape[0], -1)).reshape(-1, *data.shape[1:])
+    if ax == 1:
+        return mat @ data
+    return (data.reshape(-1, data.shape[2]) @ mat.T).reshape(*data.shape[:2], -1)
+
+
 def _multilinear(data: np.ndarray, mats) -> np.ndarray:
     """The multilinear product ``data x_1 A x_2 B x_3 C`` of ``(A, B, C) = mats``.
 
-    Every Tucker contraction in the package goes through this one kernel.
+    Three :func:`_mode_product` calls, the most shrinking (smallest rows/cols,
+    ties in axis order) first; at most two of the products are held at once.
     """
-    return np.einsum("abc,ia,jb,kc->ijk", data, *mats, optimize=True)
+    for ax in sorted(range(3), key=lambda j: (mats[j].shape[0] / mats[j].shape[1], j)):
+        data = _mode_product(data, mats[ax], ax)
+    return data
 
 
 def _check_factors(factors, dims, axis: int, of: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -184,9 +196,12 @@ def unfold(t: DenseTensor3, mode: int) -> np.ndarray:
     columns run over the remaining two indices ``(i_p, i_q)`` with
     ``p < q`` in lexicographic order (``i_q`` fastest).
     """
-    ax = _check_mode(mode)
-    a = t.data
-    return np.moveaxis(a, ax, 0).reshape(a.shape[ax], -1)
+    return _unfold(t.data, _check_mode(mode))
+
+
+def _unfold(arr: np.ndarray, ax: int) -> np.ndarray:
+    """:func:`unfold`'s layout for any 3-axis array and 0-based axis ``ax``."""
+    return arr.transpose(ax, *(k for k in range(3) if k != ax)).reshape(arr.shape[ax], -1)
 
 
 def fold(m, mode: int, dims: Sequence[int]) -> DenseTensor3:
@@ -247,9 +262,7 @@ def _tolerance(value, name: str, positive: bool = False):
 def _rank_cutoff(s: np.ndarray, shape, tol: float | None = None) -> int:
     """Rank by :func:`numerical_rank`'s cutoff; ``s`` decreases, so it keeps ``s[:rank]``."""
     tol = max(shape) * _EPS if tol is None else _tolerance(tol, "rank tolerance")
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    return int(np.count_nonzero(s > tol * s[0])) if s[0] > 0.0 else 0
 
 
 def numerical_rank(m, rank_tol: float | None = None) -> int:

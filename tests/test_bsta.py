@@ -123,6 +123,33 @@ def test_projected_operator_matches_the_einsum_contraction(case, seed):
         assert_allclose(got, expected, rtol=1e-12, atol=1e-14 * hs_norm(t))
 
 
+def _three_branch_operator(t, mode, a, b):
+    # projected_operator as it was written before the mode product: one
+    # hand-made branch per mode.
+    m1, m2, m3 = t.dims
+    if mode == 1:
+        out = (a.frame.T @ t.data).reshape(-1, m3) @ b.frame
+    else:
+        w = (a.frame.T @ t.data.reshape(m1, -1)).reshape(-1, m2, m3)
+        if mode == 2:
+            out = (w.reshape(-1, m3) @ b.frame).reshape(-1, m2, b.dim).transpose(1, 0, 2)
+        else:
+            out = (b.frame.T @ w).transpose(2, 0, 1)
+    return out.reshape(t.dims[mode - 1], -1)
+
+
+@pytest.mark.parametrize("dims, ranks", [((60, 60, 60), (6, 6, 6)), ((6000, 8, 8), (4, 4, 4))])
+def test_projected_operator_is_bit_identical_to_the_three_branch_formulas(dims, ranks):
+    # The same matrix products on the same shapes, so the same bits: this is
+    # what keeps objective histories, sweeps and frames unchanged.
+    t, _ = _case(dims, ranks, seed=44)
+    s = random_triple(dims, ranks, seed=45)
+    for j in range(3):
+        a, b = (s[k] for k in range(3) if k != j)
+        want = _three_branch_operator(t, j + 1, a, b)
+        assert np.array_equal(projected_operator(t, j + 1, a, b), want)
+
+
 def test_projected_operator_checks_ambient_dims():
     t = DenseTensor3(np.zeros((3, 4, 5)))
     a = Subspace(np.eye(4)[:, :1])

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -175,6 +176,23 @@ def test_factor_shapes_and_reconstruction_dims():
     assert fac.dims == t.dims
     assert fac.reconstruct().dims == t.dims
     assert fac.storage_count() == fac.core.size + sum(f.size for f in fac.factors)
+
+
+def test_reconstruct_holds_one_intermediate_beside_its_output():
+    # At sections (10, 10, 10) of a 100^3 tensor the core and all three
+    # factors are 100 x 100 x 100 and 100 x 100, so the last mode product's
+    # input and its output are each the output's size.  One more array of
+    # that size, as np.einsum held, lifts the peak to 3x.
+    rng = np.random.default_rng(109)
+    t = random_tensor(rng, (100, 100, 100))
+    fac = flrta_approx(t, IndexSelection(t.dims, range(10), range(10), range(10)))
+    tracemalloc.start()
+    try:
+        out = fac.reconstruct()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * out.data.nbytes
 
 
 def test_factors_contain_only_tensor_entries():

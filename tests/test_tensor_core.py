@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import tapprox.tensor_core
 from tapprox import (
     BstaOptions,
     DenseTensor3,
@@ -11,6 +12,7 @@ from tapprox import (
     Subspace,
     SubspaceTriple,
     bsta_solve,
+    coefficient_tensor,
     flrta_approx,
     fold,
     hs_norm,
@@ -24,11 +26,12 @@ from tapprox.tensor_core import (
     _CHUNK,
     TuckerFactorization,
     _float_array,
+    _multilinear,
     _residual_norm,
     numerical_rank,
 )
 
-from helpers import random_tensor
+from helpers import random_orthonormal, random_tensor
 
 
 def brute_force_unfold(t: DenseTensor3, mode: int) -> np.ndarray:
@@ -171,6 +174,53 @@ def test_numpy_integer_sizes_still_pass():
     sel = IndexSelection((i(3), 3, 3), (i(2), i(0)), (i(1),), (i(2),))
     assert sel.dims == (3, 3, 3) and sel.i_set == (0, 2)
     assert select_indices(_T333, (i(1), 1, 1), trials=i(2)).sizes == (1, 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# the multilinear product
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dims=st.tuples(*(st.integers(1, 8) for _ in range(3))),
+    rows=st.tuples(*(st.integers(1, 10) for _ in range(3))),
+    seed=st.integers(0, 2**32 - 1),
+    zero=st.booleans(),
+)
+@example(dims=(1, 6, 6), rows=(1, 3, 3), seed=1, zero=False)  # 1 x n x n, contracting
+@example(dims=(5, 6, 7), rows=(5, 6, 7), seed=2, zero=False)  # rank = dim
+@example(dims=(2, 3, 2), rows=(7, 9, 5), seed=3, zero=False)  # expanding
+@example(dims=(8, 2, 5), rows=(3, 6, 5), seed=4, zero=False)  # mixed
+@example(dims=(4, 4, 4), rows=(2, 6, 4), seed=5, zero=True)
+def test_multilinear_matches_the_einsum_reference(dims, rows, seed, zero):
+    # Each mode-j matrix is rows[j] x dims[j]: contracting, expanding or
+    # square.  Every entry is within 1e-13 of the entry the same product of
+    # absolute values gives, the scale its rounding error is bounded by.
+    rng = np.random.default_rng(seed)
+    data = np.zeros(dims) if zero else rng.standard_normal(dims)
+    mats = [rng.standard_normal((k, m)) for k, m in zip(rows, dims)]
+    want = np.einsum("abc,ia,jb,kc->ijk", data, *mats)
+    scale = np.einsum("abc,ia,jb,kc->ijk", np.abs(data), *map(np.abs, mats))
+    got = _multilinear(data, mats)
+    assert got.shape == rows
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
+def test_multilinear_contracts_the_most_shrinking_mode_first(monkeypatch):
+    # At ranks (30, 30, 1) the mode-3 frame shrinks the 30^3 tensor 30-fold;
+    # the two square frames then follow in axis order.
+    axes = []
+    real = tapprox.tensor_core._mode_product
+
+    def spy(data, mat, ax):
+        axes.append(ax)
+        return real(data, mat, ax)
+
+    monkeypatch.setattr(tapprox.tensor_core, "_mode_product", spy)
+    rng = np.random.default_rng(43)
+    t = random_tensor(rng, (30, 30, 30))
+    s = SubspaceTriple(*(Subspace(random_orthonormal(rng, 30, k)) for k in (30, 30, 1)))
+    assert coefficient_tensor(t, s).dims == (30, 30, 1)
+    assert axes == [2, 0, 1]
 
 
 # ---------------------------------------------------------------------------
