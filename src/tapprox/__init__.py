@@ -19,7 +19,6 @@ from .bsta import (
     hosvd_init,
     projected_operator,
     random_triple,
-    relaxation_sweep,
     verify_critical_point,
 )
 from .flrta import (
@@ -72,7 +71,6 @@ __all__ = [
     "project",
     "projected_operator",
     "random_triple",
-    "relaxation_sweep",
     "sections",
     "select_indices",
     "slice_cross",

@@ -134,25 +134,30 @@ def projected_operator(t: DenseTensor3, mode: int, a: Subspace, b: Subspace) -> 
     mode-``mode`` unfolding of ``t``, which is what lets :func:`bsta_solve`
     sweep on a compressed tensor when that mode is long.
 
-    It is ``t``'s mode products with ``a``'s, then ``b``'s transposed frame
-    (``tensor_core._mode_product``), unfolded by ``tensor_core._unfold``.
+    After its ambient-dims check it is the sweeps' kernel ``_operator``: two
+    ``tensor_core._mode_product`` calls, then ``tensor_core._unfold``.
     """
     ax = _check_mode(mode)
-    lo, hi = (k for k in range(3) if k != ax)
-    expected = (t.dims[lo], t.dims[hi])
+    expected = tuple(m for k, m in enumerate(t.dims) if k != ax)
     got = (a.ambient_dim, b.ambient_dim)
     if got != expected:
         raise ValueError(
             f"ambient dims {got} do not match the non-mode-{mode} tensor dims {expected}"
         )
-    return _unfold(_mode_product(_mode_product(t.data, a.frame.T, lo), b.frame.T, hi), ax)
+    return _operator(t.data, ax, a.frame, b.frame)
+
+
+def _operator(data: np.ndarray, ax: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`projected_operator` of 0-based axis ``ax`` on raw frames, unchecked."""
+    lo, hi = (k for k in range(3) if k != ax)
+    return _unfold(_mode_product(_mode_product(data, a.T, lo), b.T, hi), ax)
 
 
 def _dominant_left_frame(m: np.ndarray, k: int) -> np.ndarray:
     """Orthonormal frame of the top ``k`` left singular vectors of ``m``.
 
     This is the one rule for a frame: :func:`hosvd_init` applies it to each
-    unfolding and :func:`relaxation_sweep` to each projected operator.  A
+    unfolding and each sweep's mode update to its projected operator.  A
     wide or square ``m`` (rows <= cols) takes the eigenvectors of its row
     Gram matrix ``m @ m.T`` with the ``k`` largest eigenvalues, largest
     first, at a fraction of the cost of a thin SVD of ``m``.  A tall ``m``
@@ -202,25 +207,22 @@ def hosvd_init(t: DenseTensor3, ranks: tuple[int, int, int]) -> SubspaceTriple:
     )
 
 
-def relaxation_sweep(
-    t: DenseTensor3, s: SubspaceTriple
-) -> tuple[SubspaceTriple, tuple[float, float, float]]:
-    """One alternating sweep over the three modes.
+def _sweep(data: np.ndarray, frames) -> tuple[list[np.ndarray], tuple[float, float, float]]:
+    """One alternating sweep on raw ``(m, k)`` frames.
 
-    Each mode update replaces that subspace with a dominant left subspace
-    of the corresponding projected operator (the other two frames held at
-    their current values).  Returns the updated triple and the squared
-    projection norm after each of the three updates; the sequence extends
-    the objective history monotonically.
+    Each mode's frame becomes the dominant left frame of its projected
+    operator, the other two held.  Returns the new frames, C-contiguous as
+    :class:`~.subspace.Subspace` stores them so that products on them keep
+    their bits, and the squared projection norm after each update, which
+    extends the objective history monotonically.
     """
-    _check_triple(t, s)
-    subs = list(s)
+    frames = list(frames)
     objectives = []
     for j in range(3):
-        m = projected_operator(t, j + 1, *(subs[k] for k in range(3) if k != j))
-        subs[j] = Subspace(_dominant_left_frame(m, subs[j].dim))
-        objectives.append(float(np.linalg.norm(subs[j].frame.T @ m) ** 2))
-    return SubspaceTriple(*subs), tuple(objectives)
+        m = _operator(data, j, *(frames[k] for k in range(3) if k != j))
+        frames[j] = f = np.ascontiguousarray(_dominant_left_frame(m, frames[j].shape[1]))
+        objectives.append(float(np.linalg.norm(f.T @ m) ** 2))
+    return frames, tuple(objectives)
 
 
 def verify_critical_point(
@@ -280,10 +282,10 @@ def _long_mode(dims, ranks) -> int | None:
 def bsta_solve(t: DenseTensor3, opts: BstaOptions) -> BstaResult:
     """Alternating relaxation for the best subspace approximation.
 
-    Sweeps :func:`relaxation_sweep` from an HOSVD or seeded random start
-    until the objective gain of a full sweep falls below
-    ``rel_tol * |t|^2`` or ``max_sweeps`` is exhausted, then certifies
-    the final triple with :func:`verify_critical_point`.
+    Sweeps raw frames from an HOSVD or seeded random start until a full
+    sweep gains less than ``rel_tol * |t|^2`` or ``max_sweeps`` runs out,
+    then certifies the final triple with :func:`verify_critical_point`.
+    :class:`~.subspace.Subspace` validates only the start and final frames.
 
     When one mode is longer than the product of the other two dims
     (``m_j > m_p * m_q``, and ``k_j <= k_p * k_q``), the sweeps run on the
@@ -311,28 +313,27 @@ def bsta_solve(t: DenseTensor3, opts: BstaOptions) -> BstaResult:
         work = fold(sv[:, None] * vh, j + 1, core_dims)
 
     if opts.init == "hosvd":
-        s = hosvd_init(work, ranks)
+        start = hosvd_init(work, ranks)
     else:
-        s = random_triple(work.dims, ranks, opts.seed)
-    obj = hs_norm(coefficient_tensor(work, s)) ** 2
+        start = random_triple(work.dims, ranks, opts.seed)
+    obj = hs_norm(coefficient_tensor(work, start)) ** 2
+    frames = [sub.frame for sub in start]
 
     gain_floor = opts.rel_tol * max(norm**2, _TINY)
 
     history: list[float] = []
-    sweeps = 0
     stop_reason = "max_sweeps"
-    for _ in range(opts.max_sweeps):
-        s, fs = relaxation_sweep(work, s)
-        sweeps += 1
+    for sweeps in range(1, opts.max_sweeps + 1):  # max_sweeps >= 1
+        frames, fs = _sweep(work.data, frames)
         history.extend(fs)
-        gain = fs[2] - obj
-        obj = fs[2]
-        if gain < gain_floor:
+        if fs[2] - obj < gain_floor:
             stop_reason = "gain"
             break
+        obj = fs[2]
 
     if j is not None:
-        s = SubspaceTriple(*s[:j], Subspace(q @ s[j].frame), *s[j + 1 :])
+        frames[j] = q @ frames[j]
+    s = SubspaceTriple(*(Subspace(f) for f in frames))
     residual, certified = verify_critical_point(t, s, opts.crit_tol)
     return BstaResult(
         subspaces=s,

@@ -19,8 +19,9 @@ Each body line is read once: NumPy's C reader parses the body a block of
 lines at a time, and a block it refuses is read token by token with
 ``float()``, which gives the same values.
 
-All reports are deterministic given flags, seeds and input files;
-measured wall time is printed to stderr only, never into a report.
+All reports are deterministic given flags, seeds and input files, on the
+same NumPy/BLAS build and thread count (BLAS results change in their last
+bits with it); measured wall time goes to stderr only, never into a report.
 """
 from __future__ import annotations
 

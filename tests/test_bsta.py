@@ -21,7 +21,6 @@ from tapprox import (
     project,
     projected_operator,
     random_triple,
-    relaxation_sweep,
     select_indices,
     unfold,
     verify_critical_point,
@@ -233,7 +232,13 @@ def test_library_seeds_are_non_negative_ints(call, seed):
 
 
 # ---------------------------------------------------------------------------
-# relaxation_sweep
+# one sweep (bsta._sweep, the solver's kernel on raw frames)
+
+def sweep_triple(t, s):
+    """One sweep of the solver's kernel on the frames of ``s``, back as a triple."""
+    frames, fs = tapprox.bsta._sweep(t.data, [sub.frame for sub in s])
+    return SubspaceTriple(*(Subspace(f) for f in frames)), fs
+
 
 def test_sweep_objectives_never_decrease():
     rng = np.random.default_rng(83)
@@ -241,7 +246,7 @@ def test_sweep_objectives_never_decrease():
     s = random_subspace_triple(rng, (5, 5, 5), (2, 3, 2))
     prev = hs_norm(coefficient_tensor(t, s)) ** 2
     for _ in range(6):
-        s, fs = relaxation_sweep(t, s)
+        s, fs = sweep_triple(t, s)
         for f in fs:
             assert f >= prev - 1e-10
             prev = f
@@ -252,7 +257,7 @@ def test_sweep_keeps_an_adversarial_fixed_point():
     # is a critical point with objective 1; a sweep must not leave it.
     t = spike_tensor()
     s0 = e2_triple()
-    s1, fs = relaxation_sweep(t, s0)
+    s1, fs = sweep_triple(t, s0)
     assert fs == (1.0, 1.0, 1.0)
     for before, after in ((s0.x, s1.x), (s0.y, s1.y), (s0.z, s1.z)):
         assert same_subspace(before, after)
@@ -267,7 +272,7 @@ def test_sweep_fixes_an_already_optimal_triple():
     t = DenseTensor3(
         np.einsum("abc,ia,jb,kc->ijk", core, s.x.frame, s.y.frame, s.z.frame)
     )
-    s1, fs = relaxation_sweep(t, s)
+    s1, fs = sweep_triple(t, s)
     norm_sq = hs_norm(t) ** 2
     assert_allclose(fs, (norm_sq,) * 3, rtol=1e-12)
     for before, after in ((s.x, s1.x), (s.y, s1.y), (s.z, s1.z)):
@@ -286,8 +291,8 @@ def test_sweep_is_frame_rotation_invariant():
     )
     a, b = s, s_rot
     for _ in range(5):
-        a, fa = relaxation_sweep(t, a)
-        b, fb = relaxation_sweep(t, b)
+        a, fa = sweep_triple(t, a)
+        b, fb = sweep_triple(t, b)
         assert_allclose(fa, fb, rtol=1e-9)
 
 
@@ -304,7 +309,7 @@ def test_completed_sweep_frame_captures_all_of_its_operator(case, seed):
     # not subspaces, is compared, so ties across k do not matter.
     t, ranks = case
     s = random_triple(t.dims, ranks, seed)
-    s1, fs = relaxation_sweep(t, s)
+    s1, fs = sweep_triple(t, s)
     norm_sq = hs_norm(t) ** 2
     for j, k in enumerate(ranks):
         f = s1[j].frame
@@ -313,13 +318,6 @@ def test_completed_sweep_frame_captures_all_of_its_operator(case, seed):
         m = projected_operator(t, j + 1, *(s1[i] if i < j else s[i] for i in range(3) if i != j))
         top = float(np.sum(np.linalg.svd(m, compute_uv=False)[:k] ** 2))
         assert abs(fs[j] - top) <= 1e-12 * norm_sq
-
-
-def test_sweep_checks_dimensions():
-    t = DenseTensor3(np.zeros((3, 3, 3)))
-    s = random_triple((4, 3, 3), (1, 1, 1), seed=0)
-    with pytest.raises(ValueError):
-        relaxation_sweep(t, s)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +471,7 @@ def test_compressed_sweeps_match_the_sweeps_on_the_full_tensor(case):
         s = SubspaceTriple(*s[:j], Subspace(q @ s[j].frame), *s[j + 1 :])
     history = []
     for _ in range(res.sweeps):
-        s, fs = relaxation_sweep(t, s)
+        s, fs = sweep_triple(t, s)
         history.extend(fs)
     norm_sq = hs_norm(t) ** 2
     assert_allclose(res.objective_history, history, rtol=0, atol=1e-12 * norm_sq)
@@ -488,13 +486,13 @@ def test_compressed_sweeps_match_the_sweeps_on_the_full_tensor(case):
 
 def test_sweeps_run_on_the_compressed_tensor(monkeypatch):
     seen = []
-    sweep = tapprox.bsta.relaxation_sweep
+    sweep = tapprox.bsta._sweep
 
-    def spy(t, s):
-        seen.append((t, s))
-        return sweep(t, s)
+    def spy(data, frames):
+        seen.append((data, list(frames)))
+        return sweep(data, frames)
 
-    monkeypatch.setattr(tapprox.bsta, "relaxation_sweep", spy)
+    monkeypatch.setattr(tapprox.bsta, "_sweep", spy)
     rng = np.random.default_rng(98)
     cases = (
         ((30, 3, 3), (3, 2, 2), "hosvd", [(9, 3, 3)] * 3),
@@ -509,16 +507,36 @@ def test_sweeps_run_on_the_compressed_tensor(monkeypatch):
         seen.clear()
         opts = BstaOptions(target_ranks=ranks, init=init, max_sweeps=3, rel_tol=1e-30)
         res = bsta_solve(random_tensor(rng, dims), opts)
-        assert [work.dims for work, _ in seen] == expected, (dims, ranks, init)
+        assert [data.shape for data, _ in seen] == expected, (dims, ranks, init)
         assert res.subspaces.ambient_dims == dims
         # The first sweep starts from the chosen init on the tensor it sweeps.
-        work, first = seen[0]
+        data, first = seen[0]
         if init == "hosvd":
-            start = hosvd_init(work, ranks)
+            start = hosvd_init(DenseTensor3(data), ranks)
         else:
-            start = random_triple(work.dims, ranks, opts.seed)
+            start = random_triple(data.shape, ranks, opts.seed)
         for got, want in zip(first, start):
-            assert np.array_equal(got.frame, want.frame), (dims, ranks, init)
+            assert np.array_equal(got, want.frame), (dims, ranks, init)
+
+
+def test_solve_builds_subspaces_only_at_its_boundary(monkeypatch):
+    # The sweeps run on raw frames: one Subspace per start frame and one per
+    # final frame, none per sweep, also when a long mode is mapped back.
+    built = []
+    init = Subspace.__init__
+
+    def spy(self, frame):
+        built.append(np.shape(frame))
+        init(self, frame)
+
+    monkeypatch.setattr(tapprox.subspace.Subspace, "__init__", spy)
+    rng = np.random.default_rng(100)
+    for dims, ranks, start in (((6, 6, 6), (2, 2, 2), "hosvd"), ((30, 3, 3), (3, 2, 2), "random")):
+        built.clear()
+        opts = BstaOptions(target_ranks=ranks, init=start, max_sweeps=50, rel_tol=1e-30)
+        res = bsta_solve(random_tensor(rng, dims), opts)
+        assert res.sweeps > 2, dims
+        assert len(built) <= 6, (dims, res.sweeps, len(built))
 
 
 def test_long_mode_solve_builds_no_square_array():

@@ -10,6 +10,7 @@ from tapprox import (
     distance,
     hs_norm,
     project,
+    verify_critical_point,
 )
 
 from helpers import random_subspace_triple, random_tensor, same_subspace
@@ -99,7 +100,7 @@ def test_coefficient_tensor_never_exceeds_the_norm():
 def test_dimension_mismatch_is_rejected():
     t = DenseTensor3(np.zeros((2, 3, 4)))
     s = axis_triple((2, 3, 5), (1, 1, 1))
-    for op in (coefficient_tensor, project, distance):
+    for op in (coefficient_tensor, project, distance, verify_critical_point):
         with pytest.raises(ValueError):
             op(t, s)
 
