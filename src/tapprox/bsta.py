@@ -24,7 +24,6 @@ from .subspace import (
     SubspaceTriple,
     _check_triple,
     _frames_tucker,
-    coefficient_tensor,
     distance,
 )
 from .tensor_core import (
@@ -41,7 +40,6 @@ from .tensor_core import (
     _tolerance,
     _unfold,
     fold,
-    hs_norm,
     unfold,
 )
 
@@ -100,8 +98,8 @@ class BstaResult:
     ``approx_error`` is :func:`~.subspace.distance` from the input to the final
     product subspace, so ``approx_error**2 + objective_history[-1]`` equals the
     squared norm of the input.  ``stop_reason`` says why the sweep loop
-    ended: ``"gain"`` when a full sweep gained less than the floor set by
-    ``rel_tol``, ``"max_sweeps"`` when the sweep budget ran out first.
+    ended: ``"gain"`` when a sweep's last objective beat its start's by less
+    than the ``rel_tol`` floor, ``"max_sweeps"`` when the budget ran out first.
     ``converged`` means the loop stopped on the gain floor *and* the
     critical-point certificate passed, so a ``"gain"`` stop can still
     leave ``converged`` false when the residual exceeds ``crit_tol``.
@@ -207,22 +205,24 @@ def hosvd_init(t: DenseTensor3, ranks: tuple[int, int, int]) -> SubspaceTriple:
     )
 
 
-def _sweep(data: np.ndarray, frames) -> tuple[list[np.ndarray], tuple[float, float, float]]:
+def _sweep(data: np.ndarray, frames) -> tuple[list[np.ndarray], float, tuple[float, ...]]:
     """One alternating sweep on raw ``(m, k)`` frames.
 
     Each mode's frame becomes the dominant left frame of its projected
-    operator, the other two held.  Returns the new frames, C-contiguous as
-    :class:`~.subspace.Subspace` stores them so that products on them keep
-    their bits, and the squared projection norm after each update, which
-    extends the objective history monotonically.
+    operator, the other two held.  Returns the new frames (C-contiguous, as
+    :class:`~.subspace.Subspace` stores them, so products keep their bits),
+    the given frames' objective ``|F_1^T M_1|^2`` on the first operator, and
+    the objective after each update; the sweep's gain is the last minus the given frames'.
     """
     frames = list(frames)
     objectives = []
     for j in range(3):
         m = _operator(data, j, *(frames[k] for k in range(3) if k != j))
+        if j == 0:
+            before = float(np.linalg.norm(frames[0].T @ m) ** 2)
         frames[j] = f = np.ascontiguousarray(_dominant_left_frame(m, frames[j].shape[1]))
         objectives.append(float(np.linalg.norm(f.T @ m) ** 2))
-    return frames, tuple(objectives)
+    return frames, before, tuple(objectives)
 
 
 def verify_critical_point(
@@ -282,9 +282,10 @@ def _long_mode(dims, ranks) -> int | None:
 def bsta_solve(t: DenseTensor3, opts: BstaOptions) -> BstaResult:
     """Alternating relaxation for the best subspace approximation.
 
-    Sweeps raw frames from an HOSVD or seeded random start until a full
-    sweep gains less than ``rel_tol * |t|^2`` or ``max_sweeps`` runs out,
-    then certifies the final triple with :func:`verify_critical_point`.
+    Sweeps raw frames from an HOSVD or seeded random start until a sweep
+    gains less than ``rel_tol * |t|^2`` (its last objective minus that of
+    the frames it starts from, both from :func:`_sweep`) or ``max_sweeps``
+    runs out, then certifies the final triple with :func:`verify_critical_point`.
     :class:`~.subspace.Subspace` validates only the start and final frames.
 
     When one mode is longer than the product of the other two dims
@@ -316,7 +317,6 @@ def bsta_solve(t: DenseTensor3, opts: BstaOptions) -> BstaResult:
         start = hosvd_init(work, ranks)
     else:
         start = random_triple(work.dims, ranks, opts.seed)
-    obj = hs_norm(coefficient_tensor(work, start)) ** 2
     frames = [sub.frame for sub in start]
 
     gain_floor = opts.rel_tol * max(norm**2, _TINY)
@@ -324,12 +324,11 @@ def bsta_solve(t: DenseTensor3, opts: BstaOptions) -> BstaResult:
     history: list[float] = []
     stop_reason = "max_sweeps"
     for sweeps in range(1, opts.max_sweeps + 1):  # max_sweeps >= 1
-        frames, fs = _sweep(work.data, frames)
+        frames, before, fs = _sweep(work.data, frames)
         history.extend(fs)
-        if fs[2] - obj < gain_floor:
+        if fs[2] - before < gain_floor:
             stop_reason = "gain"
             break
-        obj = fs[2]
 
     if j is not None:
         frames[j] = q @ frames[j]

@@ -236,7 +236,7 @@ def test_library_seeds_are_non_negative_ints(call, seed):
 
 def sweep_triple(t, s):
     """One sweep of the solver's kernel on the frames of ``s``, back as a triple."""
-    frames, fs = tapprox.bsta._sweep(t.data, [sub.frame for sub in s])
+    frames, _, fs = tapprox.bsta._sweep(t.data, [sub.frame for sub in s])
     return SubspaceTriple(*(Subspace(f) for f in frames)), fs
 
 
@@ -318,6 +318,38 @@ def test_completed_sweep_frame_captures_all_of_its_operator(case, seed):
         m = projected_operator(t, j + 1, *(s1[i] if i < j else s[i] for i in range(3) if i != j))
         top = float(np.sum(np.linalg.svd(m, compute_uv=False)[:k] ** 2))
         assert abs(fs[j] - top) <= 1e-12 * norm_sq
+
+
+def _compress(t, j):
+    """The tensor bsta_solve sweeps when mode ``j`` of ``t`` is long, and ``Q``.
+
+    That is ``fold(S V^T)``, from the thin SVD ``Q S V^T`` of the mode-``j``
+    unfolding; ``Q`` maps mode ``j``'s frame into the full mode space.
+    """
+    q, sv, vh = np.linalg.svd(unfold(t, j + 1), full_matrices=False)
+    dims = tuple(q.shape[1] if k == j else m for k, m in enumerate(t.dims))
+    return fold(sv[:, None] * vh, j + 1, dims), q
+
+
+def _compressed_case(dims, ranks, j, seed=0):
+    return _compress(_case(dims, ranks, seed)[0], j)[0], ranks
+
+
+@settings(max_examples=60, deadline=None)
+@given(tensor_and_ranks(), st.integers(0, 2**32 - 1))
+@example(_case((1, 4, 4), (1, 2, 3)), 0)  # 1 x n x n
+@example(_case((3, 4, 2), (3, 4, 2)), 0)  # rank = dim in every mode
+@example((DenseTensor3(np.zeros((3, 4, 2))), (2, 2, 1)), 0)
+@example(_compressed_case((30, 3, 2), (3, 2, 2), 0), 0)  # mode 1 compressed to 6 rows
+@example(_compressed_case((3, 2, 40), (2, 2, 3), 2), 0)  # mode 3 compressed to 6 rows
+def test_sweep_returns_the_objective_of_the_frames_it_was_given(case, seed):
+    # bsta_solve's gain test subtracts this from the sweep's last objective,
+    # so it must be the start's squared projection norm.
+    t, ranks = case
+    s = random_triple(t.dims, ranks, seed)
+    _, before, _ = tapprox.bsta._sweep(t.data, [sub.frame for sub in s])
+    want = hs_norm(coefficient_tensor(t, s)) ** 2
+    assert abs(before - want) <= 1e-13 * hs_norm(t) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -414,14 +446,15 @@ def test_stop_reason_names_why_the_sweeps_ended():
 
 
 def test_gain_stop_can_still_fail_the_certificate():
-    # The README quickstart: the gain floor ends the sweeps before the
-    # frames pass the certificate at the default crit_tol.
+    # The README quickstart, whose numbers these are: the gain floor ends the
+    # sweeps before the frames pass the certificate at the default crit_tol,
+    # and a lower floor sweeps on to a certified stop.
     t = DenseTensor3(np.random.default_rng(0).standard_normal((7, 8, 6)))
     res = bsta_solve(t, BstaOptions(target_ranks=(2, 3, 2)))
-    assert res.stop_reason == "gain"
-    assert res.sweeps < 200
-    assert res.critical_point_residual > 1e-6
-    assert not res.converged
+    assert (res.sweeps, res.stop_reason, res.converged) == (122, "gain", False)
+    assert f"{res.critical_point_residual:.1e}" == "9.8e-06"
+    tight = bsta_solve(t, BstaOptions(target_ranks=(2, 3, 2), rel_tol=1e-14))
+    assert (tight.sweeps, tight.stop_reason, tight.converged) == (158, "gain", True)
 
 
 @st.composite
@@ -458,14 +491,11 @@ def test_compressed_sweeps_match_the_sweeps_on_the_full_tensor(case):
     t, ranks, init = case
     res = bsta_solve(t, BstaOptions(target_ranks=ranks, init=init, seed=7, max_sweeps=20))
     # The solver takes either start on the tensor it sweeps: t, or with a long
-    # mode j its compression fold(S V^T), from the thin SVD Q S V^T of the
-    # mode-j unfolding.  Q maps mode j's frame into the full mode space.
+    # mode j its compression.
     j = tapprox.bsta._long_mode(t.dims, ranks)
     work = t
     if j is not None:
-        q, sv, vh = np.linalg.svd(unfold(t, j + 1), full_matrices=False)
-        dims = tuple(q.shape[1] if k == j else m for k, m in enumerate(t.dims))
-        work = fold(sv[:, None] * vh, j + 1, dims)
+        work, q = _compress(t, j)
     s = hosvd_init(work, ranks) if init == "hosvd" else random_triple(work.dims, ranks, seed=7)
     if j is not None:
         s = SubspaceTriple(*s[:j], Subspace(q @ s[j].frame), *s[j + 1 :])
@@ -537,6 +567,31 @@ def test_solve_builds_subspaces_only_at_its_boundary(monkeypatch):
         res = bsta_solve(random_tensor(rng, dims), opts)
         assert res.sweeps > 2, dims
         assert len(built) <= 6, (dims, res.sweeps, len(built))
+
+
+def test_solve_forms_coefficient_tensors_only_at_its_end(monkeypatch):
+    # Each sweep measures its own gain from its first operator, so the start
+    # needs no coefficient tensor.  The end forms at most two on t: the
+    # Tucker core and the projection behind approx_error.
+    contract = tapprox.subspace.coefficient_tensor
+    calls = []
+
+    def spy(t, s):
+        calls.append(t.dims)
+        return contract(t, s)
+
+    for module in (tapprox.bsta, tapprox.subspace):
+        for name, value in list(vars(module).items()):
+            if value is contract:
+                monkeypatch.setattr(module, name, spy)
+    rng = np.random.default_rng(101)
+    for dims, ranks, start in (((6, 6, 6), (2, 2, 2), "hosvd"), ((30, 3, 3), (3, 2, 2), "random")):
+        calls.clear()
+        opts = BstaOptions(target_ranks=ranks, init=start, max_sweeps=5, rel_tol=1e-30)
+        res = bsta_solve(random_tensor(rng, dims), opts)
+        assert res.sweeps == 5, dims
+        assert len(calls) <= 2, (dims, calls)
+        assert all(d == dims for d in calls), (dims, calls)
 
 
 def test_long_mode_solve_builds_no_square_array():

@@ -869,6 +869,17 @@ def test_bench_table_and_error_trends(tmp_path, capsys):
     assert by_ranks["7x7x7"]["bsta"] <= 1e-12
 
 
+def test_readme_report_block(tmp_path, capsys):
+    # The README's CLI example quotes these two lines of the bsta report.
+    f = str(tmp_path / "t.t3")
+    argv = ["gen", f, "--dims", "7,7,7", "--mlrank", "3,3,3", "--noise", "1e-6", "--seed", "42"]
+    assert run_cli(capsys, argv)[0] == 0
+    assert run_cli(capsys, ["bsta", f, "3", "3", "3", str(tmp_path / "run"), "--json"])[0] == 0
+    report = (tmp_path / "run.report.txt").read_text().splitlines()
+    assert "error_abs=1.6787889292765146e-05" in report
+    assert "error_rel=4.0697679099834543e-06" in report
+
+
 def test_bench_zero_tensor_runs_with_zero_errors(tmp_path, capsys):
     f = str(tmp_path / "z.t3")
     write_tensor_file(f, DenseTensor3(np.zeros((4, 4, 4))))
@@ -1235,9 +1246,10 @@ def test_missing_file_gives_one_line_diagnostic(capsys):
 
 
 def test_malformed_triple_is_a_usage_error(tmp_path):
-    with pytest.raises(SystemExit) as exc_info:
-        main(["gen", str(tmp_path / "t.t3"), "--dims", "3,3", "--mlrank", "1,1,1"])
-    assert exc_info.value.code == 2
+    for dims in ("3,3", "3,x,3"):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["gen", str(tmp_path / "t.t3"), "--dims", dims, "--mlrank", "1,1,1"])
+        assert exc_info.value.code == 2, dims
 
 
 def test_console_entry_point_runs(tmp_path):

@@ -252,6 +252,8 @@ def test_tucker_factorization_validates_factors():
     core = DenseTensor3(np.zeros((2, 2, 2)))
     with pytest.raises(ValueError):
         TuckerFactorization(core, (np.zeros((3, 4)), np.zeros((2, 4)), np.zeros((2, 4))))
+    with pytest.raises(ValueError, match="expected three factors, got 2"):
+        TuckerFactorization(core, (np.zeros((2, 4)), np.zeros((2, 4))))
 
 
 # ---------------------------------------------------------------------------

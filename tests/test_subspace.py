@@ -29,6 +29,7 @@ def axis_triple(dims, ranks) -> SubspaceTriple:
 def test_subspace_accepts_orthonormal_frame():
     s = Subspace(np.eye(4)[:, :2])
     assert (s.ambient_dim, s.dim) == (4, 2)
+    assert repr(s) == "Subspace(ambient_dim=4, dim=2)"
 
 
 def test_subspace_rejects_non_orthonormal_frame():

@@ -64,6 +64,8 @@ def test_construction_validates_shape_and_values():
         DenseTensor3(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         DenseTensor3(np.zeros((2, 2, 2, 2)))
+    with pytest.raises(ValueError, match="dimensions must be positive"):
+        DenseTensor3(np.zeros((0, 2, 2)))
     bad = np.zeros((2, 2, 2))
     bad[0, 0, 0] = np.nan
     with pytest.raises(ValueError):
