@@ -9,12 +9,13 @@
 Tensor files are plain text: a header ``t3 m1 m2 m3``, then ``m1*m2*m3``
 whitespace-separated reals in lexicographic order (third index fastest),
 split across lines in any way.  '#' comment lines and blank lines may
-appear anywhere.  Matrices use the same layout with a ``m2 rows cols``
-header.  The writers put one mode-3 fiber (or matrix row) on each line,
-write each line of a multi-line comment with its own '#', and use 17
-significant digits, so write/read round-trips are bit-exact.  A bad file
-fails with one ValueError line that names the file, the line number and
-the first bad token, non-UTF-8 bytes included; comment lines may hold any.
+appear anywhere.  ``t3`` is the only format read.  Factor matrices are
+written as ``m2 rows cols`` files, which ``np.loadtxt(path, skiprows=1,
+ndmin=2)`` loads.  The writers put one mode-3 fiber (or matrix row) on
+each line, write each line of a multi-line comment with its own '#', and
+use 17 significant digits, so written files read back bit-exactly.  A bad
+file fails with one ValueError line that names the file, the line number
+and the first bad token, non-UTF-8 bytes included; comment lines may hold any.
 Each body line is read once: NumPy's C reader parses the body a block of
 lines at a time, and a block it refuses is read token by token with
 ``float()``, which gives the same values.
@@ -107,16 +108,15 @@ def _open_text(path: str):
     return open(path, "r", encoding="utf-8", errors="backslashreplace")
 
 
-def _read_header(path: str, magic: str, ndims: int, fh):
-    """Read ``fh`` through the header line; return the dims and the header's line number."""
+def _read_header(path: str, fh):
+    """Read ``fh`` through the ``t3`` header line; return the dims and the header's line number."""
     for lineno, raw in enumerate(fh, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
-        want = f"'{magic} " + " ".join(f"n{d + 1}" for d in range(ndims)) + "'"
-        if tokens[0] != magic or len(tokens) != 1 + ndims:
-            raise ValueError(f"{path}: line {lineno}: expected header {want}, got {line!r}")
+        if tokens[0] != "t3" or len(tokens) != 4:
+            raise ValueError(f"{path}: line {lineno}: expected header 't3 n1 n2 n3', got {line!r}")
         try:
             dims = tuple(int(tok) for tok in tokens[1:])
         except ValueError:
@@ -126,15 +126,15 @@ def _read_header(path: str, magic: str, ndims: int, fh):
         if min(dims) < 1:
             raise ValueError(f"{path}: line {lineno}: dimensions must be positive, got {dims}")
         return dims, lineno
-    raise ValueError(f"{path}: missing '{magic}' header line")
+    raise ValueError(f"{path}: missing 't3' header line")
 
 
 #: Body lines per ``np.loadtxt`` call; bounds what one call allocates.
 _BLOCK_LINES = 256
 
 
-def _read_numeric_file(path: str, magic: str, ndims: int):
-    """Read a ``t3``/``m2`` file, passing over each body line once.
+def read_tensor_file(path: str) -> DenseTensor3:
+    """Read a ``t3`` tensor file, passing over each body line once.
 
     Each block of body lines goes to NumPy's C reader.  A block it refuses
     (ragged rows, a comment or '#', a token only ``float()`` takes), or
@@ -144,7 +144,7 @@ def _read_numeric_file(path: str, magic: str, ndims: int):
     with CPython's ``PyOS_string_to_double``, so they give the same values.
     """
     with _open_text(path) as fh:
-        dims, lineno = _read_header(path, magic, ndims, fh)
+        dims, lineno = _read_header(path, fh)
         # A header that no array can hold fails before any of the body is read.
         values = _empty_values(math.prod(dims), f"{path}: line {lineno}")
         expected, filled = values.size, 0
@@ -182,12 +182,6 @@ def _read_numeric_file(path: str, magic: str, ndims: int):
                     filled += 1
     if filled != expected:
         raise ValueError(f"{path}: expected {expected} values, found {filled}")
-    return dims, values
-
-
-def read_tensor_file(path: str) -> DenseTensor3:
-    """Read a ``t3`` tensor file."""
-    dims, values = _read_numeric_file(path, "t3", 3)
     return DenseTensor3(values.reshape(dims), _fresh=True)
 
 
@@ -209,16 +203,10 @@ def write_tensor_file(path: str, t: DenseTensor3, comments=()) -> None:
     _write_numeric_file(path, f"t3 {m1} {m2} {m3}", t.data.reshape(m1 * m2, m3), comments)
 
 
-def read_matrix_file(path: str) -> np.ndarray:
-    """Read an ``m2`` matrix file."""
-    dims, values = _read_numeric_file(path, "m2", 2)
-    return values.reshape(dims)
-
-
-def write_matrix_file(path: str, m, comments=()) -> None:
+def write_matrix_file(path: str, m) -> None:
     """Write an ``m2`` matrix file (one row per line, 17 digits)."""
     arr = _float_array(m)
-    _write_numeric_file(path, f"m2 {arr.shape[0]} {arr.shape[1]}", arr, comments)
+    _write_numeric_file(path, f"m2 {arr.shape[0]} {arr.shape[1]}", arr, ())
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +404,7 @@ def _run(args: argparse.Namespace, rows):
     solves = [_METHODS[method][-1](ranks, seed, args) for method, ranks in rows]
     if os.path.isfile(args.file):  # a pipe could not be read again
         with _open_text(args.file) as fh:
-            dims, _ = _read_header(args.file, "t3", 3, fh)
+            dims, _ = _read_header(args.file, fh)
         for method, ranks in rows:
             _check_ranks(dims, ranks, _METHODS[method][3])
     t = read_tensor_file(args.file)

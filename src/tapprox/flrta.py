@@ -143,10 +143,10 @@ def _section_grids(sel: IndexSelection):
     return np.ix_(np.arange(l1), j, k), np.ix_(i, np.arange(l2), k), np.ix_(i, j, np.arange(l3))
 
 
-def _cross_blocks(fibers: np.ndarray, k_set) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The ``(L, K)`` and per-slice ``(I, J)`` cross blocks of ``fibers = t[I, J, :]``."""
-    p, q, l3 = fibers.shape
-    return fibers.reshape(p * q, l3)[:, k_set], [fibers[:, :, k] for k in k_set]
+def _cross_blocks(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(L, K)`` and per-slice ``(I, J)`` cross blocks of ``block = t[I, J, K]``."""
+    p, q, r = block.shape
+    return block.reshape(p * q, r), block.transpose(2, 0, 1)
 
 
 def slice_cross(t: DenseTensor3, sel: IndexSelection, k: int) -> np.ndarray:
@@ -185,7 +185,7 @@ def flrta_approx(t: DenseTensor3, sel: IndexSelection, pinv_tol: float | None = 
     c1, c2, c3 = (_unfold(sec.data, ax).T for ax, sec in enumerate((s1, s2, s3)))
 
     # Interpolation weights across mode 3, and within each selected slice.
-    outer, slices = _cross_blocks(s3.data, sel.k_set)
+    outer, slices = _cross_blocks(s3.data[:, :, sel.k_set])
     W = pinv(outer, pinv_tol)  # (r, p*q)
     P = np.stack([pinv(block, pinv_tol) for block in slices])  # (r, q, p)
     ar = np.arange(r)
@@ -232,7 +232,7 @@ def select_indices(
         ii = tuple(sorted(rng.choice(l1, size=p, replace=False).tolist()))
         jj = tuple(sorted(rng.choice(l2, size=q, replace=False).tolist()))
         kk = tuple(sorted(rng.choice(l3, size=r, replace=False).tolist()))
-        outer, slices = _cross_blocks(t.data[np.ix_(ii, jj)], kk)
+        outer, slices = _cross_blocks(t.data[np.ix_(ii, jj, kk)])
         cond_slices = tuple(_condition_number(block) for block in slices)
         records.append(TrialConditions(ii, jj, kk, _condition_number(outer), cond_slices))
 

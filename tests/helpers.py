@@ -32,6 +32,11 @@ def projector(frame: np.ndarray) -> np.ndarray:
     return frame @ frame.T
 
 
+def read_matrix(path) -> np.ndarray:
+    """A written ``m2`` matrix file, read by NumPy rather than the package."""
+    return np.loadtxt(path, skiprows=1, ndmin=2)
+
+
 def same_subspace(a, b, tol: float = 1e-10) -> bool:
     """Frame-independent comparison of two subspaces."""
     return bool(np.linalg.norm(projector(a.frame) - projector(b.frame)) <= tol)

@@ -32,13 +32,12 @@ from tapprox import (
 from tapprox.cli import (
     DEFAULT_SEED,
     main,
-    read_matrix_file,
     read_tensor_file,
     write_matrix_file,
     write_tensor_file,
 )
 
-from helpers import random_tensor, tucker_tensor
+from helpers import random_tensor, read_matrix, tucker_tensor
 
 
 @pytest.fixture(autouse=True)
@@ -158,17 +157,12 @@ def test_tensor_file_accepts_any_line_layout(tmp_path, content):
 
 def test_multi_line_comments_round_trip(tmp_path):
     comments = ["run 1\nnoise 0.1", "single", "crlf\r\nline", ""]
-    rng = np.random.default_rng(128)
-    t = random_tensor(rng, (2, 3, 2))
-    m = rng.standard_normal((3, 2))
-    tensor_path, matrix_path = tmp_path / "t.t3", tmp_path / "m.mat"
-    write_tensor_file(str(tensor_path), t, comments=comments)
-    write_matrix_file(str(matrix_path), m, comments=comments)
-    assert np.array_equal(read_tensor_file(str(tensor_path)).data, t.data)
-    assert np.array_equal(read_matrix_file(str(matrix_path)), m)
-    for path in (tensor_path, matrix_path):
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[:6] == ["# run 1", "# noise 0.1", "# single", "# crlf", "# line", "# "]
+    t = random_tensor(np.random.default_rng(128), (2, 3, 2))
+    path = tmp_path / "t.t3"
+    write_tensor_file(str(path), t, comments=comments)
+    assert np.array_equal(read_tensor_file(str(path)).data, t.data)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[:6] == ["# run 1", "# noise 0.1", "# single", "# crlf", "# line", "# "]
 
 
 _EDGE_VALUES = [
@@ -197,9 +191,10 @@ def test_file_round_trip_is_bit_exact_and_pins_the_written_digits(tmp_path_facto
     write_tensor_file(str(d / "t.t3"), t)
     write_matrix_file(str(d / "m.mat"), rows)
     back_t = read_tensor_file(str(d / "t.t3"))
-    back_m = read_matrix_file(str(d / "m.mat"))
+    back_m = read_matrix(d / "m.mat")
     assert back_t.dims == t.dims
     assert back_t.data.tobytes() == t.data.tobytes()
+    assert back_m.shape == rows.shape
     assert back_m.tobytes() == np.ascontiguousarray(rows).tobytes()
     expected = [" ".join(f"{v:.17g}" for v in row) for row in rows]
     for name, header in (("t.t3", f"t3 {m1} {m2} {m3}"), ("m.mat", f"m2 {m1 * m2} {m3}")):
@@ -219,22 +214,19 @@ def test_reader_memory_is_linear_in_the_values(tmp_path):
     assert peak < 3 * t.data.nbytes
 
 
-def _read_outcome(path, magic):
+def _read_outcome(path):
     """``(shape, bytes)`` of what the public reader returns, or its error message."""
     try:
-        if magic == "t3":
-            arr = read_tensor_file(path).data
-        else:
-            arr = read_matrix_file(path)
+        arr = read_tensor_file(path).data
         return arr.shape, arr.tobytes()
     except ValueError as exc:
         return str(exc)
 
 
-def _line_reader_outcome(path, magic):
+def _line_reader_outcome(path):
     """The same outcome with every block read by ``float()``: ``np.loadtxt`` refuses them all."""
     with mock.patch.object(np, "loadtxt", side_effect=ValueError("refused")):
-        return _read_outcome(path, magic)
+        return _read_outcome(path)
 
 
 class _ReaderSpy:
@@ -274,7 +266,7 @@ def _from_bits(bits: int) -> float:
 
 @st.composite
 def _float_files(draw):
-    """A t3 or m2 file of drawn float64 values, written as %.17g or repr, in rows of any width."""
+    """A t3 file of drawn float64 values, written as %.17g or repr, in rows of any width."""
     dims = draw(st.tuples(*[st.integers(1, 3)] * 3))
     n = math.prod(dims)
     element = (
@@ -285,11 +277,9 @@ def _float_files(draw):
     fmt = draw(st.sampled_from(["{:.17g}", "{!r}"]))
     tokens = [fmt.format(v) for v in draw(st.lists(element, min_size=n, max_size=n))]
     width = draw(st.integers(1, n))
-    magic = draw(st.sampled_from(["t3", "m2"]))
-    shape = dims if magic == "t3" else (n // dims[2], dims[2])
-    header = " ".join(map(str, (magic, *shape)))
+    header = " ".join(map(str, ("t3", *dims)))
     rows = [" ".join(tokens[i : i + width]) for i in range(0, n, width)]
-    return magic, "\n".join([header, *rows]) + "\n"
+    return "\n".join([header, *rows]) + "\n"
 
 
 _TRICKY_TOKENS = [
@@ -315,14 +305,13 @@ def _tricky_files(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_float_files())
-@example(("t3", "t3 1 1 3\n5e-324 -0 1.7976931348623157e+308\n"))
-@example(("m2", "m2 1 3\n2.2250738585072009e-308 -1.7976931348623157e308 0.0\n"))
-def test_reader_matches_the_line_reader_on_float_bit_patterns(tmp_path_factory, case):
-    magic, text = case
+@example("t3 1 1 3\n5e-324 -0 1.7976931348623157e+308\n")
+@example("t3 1 1 3\n2.2250738585072009e-308 -1.7976931348623157e308 0.0\n")
+def test_reader_matches_the_line_reader_on_float_bit_patterns(tmp_path_factory, text):
     path = str(tmp_path_factory.mktemp("bits") / "f.txt")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-    assert _read_outcome(path, magic) == _line_reader_outcome(path, magic)
+    assert _read_outcome(path) == _line_reader_outcome(path)
 
 
 @settings(max_examples=300, deadline=None)
@@ -333,7 +322,7 @@ def test_reader_matches_the_line_reader_on_float_bit_patterns(tmp_path_factory, 
 def test_reader_matches_the_line_reader_on_tricky_tokens(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("tricky") / "f.t3"
     path.write_bytes(text.encode("utf-8"))
-    assert _read_outcome(str(path), "t3") == _line_reader_outcome(str(path), "t3")
+    assert _read_outcome(str(path)) == _line_reader_outcome(str(path))
 
 
 @pytest.mark.parametrize(
@@ -434,9 +423,9 @@ def test_blocks_of_any_length_read_as_the_line_reader_does(tmp_path_factory, tex
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     # The reference reads the whole body as one block, token by token.
-    want = _line_reader_outcome(path, "t3")
+    want = _line_reader_outcome(path)
     with mock.patch.object(cli, "_BLOCK_LINES", block):
-        assert _read_outcome(path, "t3") == want
+        assert _read_outcome(path) == want
 
 
 def test_bad_token_after_an_accepted_block_names_its_line(tmp_path):
@@ -500,10 +489,12 @@ def test_long_body_under_a_short_header_is_refused_in_little_memory(tmp_path):
 
 def test_matrix_file_round_trip(tmp_path):
     rng = np.random.default_rng(121)
-    m = rng.standard_normal((4, 3))
     path = tmp_path / "m.mat"
-    write_matrix_file(str(path), m)
-    assert np.array_equal(read_matrix_file(str(path)), m)
+    for shape in ((4, 3), (1, 3), (3, 1)):
+        m = rng.standard_normal(shape)
+        write_matrix_file(str(path), m)
+        back = read_matrix(path)
+        assert back.shape == m.shape and back.tobytes() == m.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -639,9 +630,7 @@ def test_bsta_command_end_to_end(tmp_path, capsys):
         loaded = json.load(fh)
     assert list(loaded.items()) == list(rep.items())
 
-    x = read_matrix_file(prefix + ".x.mat")
-    y = read_matrix_file(prefix + ".y.mat")
-    z = read_matrix_file(prefix + ".z.mat")
+    x, y, z = (read_matrix(prefix + s) for s in (".x.mat", ".y.mat", ".z.mat"))
     assert x.shape == (7, 2) and y.shape == (8, 3) and z.shape == (6, 2)
     for frame in (x, y, z):
         assert_allclose(frame.T @ frame, np.eye(frame.shape[1]), rtol=0, atol=1e-12)
@@ -715,9 +704,7 @@ def test_flrta_command_end_to_end(tmp_path, capsys):
     assert float(rep["error_rel"]) <= 1e-7
     assert Path(prefix + ".report.txt").read_text(encoding="utf-8") == out
 
-    c1 = read_matrix_file(prefix + ".c1.mat")
-    c2 = read_matrix_file(prefix + ".c2.mat")
-    c3 = read_matrix_file(prefix + ".c3.mat")
+    c1, c2, c3 = (read_matrix(prefix + s) for s in (".c1.mat", ".c2.mat", ".c3.mat"))
     core = read_tensor_file(prefix + ".core.t3")
     assert c1.shape == (6, 7) and c2.shape == (4, 8) and c3.shape == (6, 6)
     rec = np.einsum("abc,ai,bj,ck->ijk", core.data, c1, c2, c3)
