@@ -36,6 +36,7 @@ from .tensor_core import (
     _mode_product,
     _positive_int,
     _seed,
+    _shrink_order,
     _three_positive_ints,
     _tolerance,
     _unfold,
@@ -61,8 +62,8 @@ class BstaOptions:
         Stop once the objective gain of a full sweep drops below
         ``rel_tol`` times the squared norm of the input tensor.
     init : str
-        ``"hosvd"`` (the dominant left frames of the unfoldings) or
-        ``"random"`` (seeded random orthonormal frames).  Both are taken
+        ``"hosvd"`` (the sequentially truncated HOSVD of :func:`hosvd_init`)
+        or ``"random"`` (seeded random orthonormal frames).  Both are taken
         on the tensor the sweeps run on, compressed when one mode is long
         (see :func:`bsta_solve`).
     seed : int
@@ -155,10 +156,10 @@ def _dominant_left_frame(m: np.ndarray, k: int) -> np.ndarray:
     """Orthonormal frame of the top ``k`` left singular vectors of ``m``.
 
     This is the one rule for a frame: :func:`hosvd_init` applies it to each
-    unfolding and each sweep's mode update to its projected operator.  A
-    wide or square ``m`` (rows <= cols) takes the eigenvectors of its row
-    Gram matrix ``m @ m.T`` with the ``k`` largest eigenvalues, largest
-    first, at a fraction of the cost of a thin SVD of ``m``.  A tall ``m``
+    unfolding of its truncated tensor and each sweep's mode update to its
+    projected operator.  A wide or square ``m`` (rows <= cols) takes
+    :func:`_gram_frame` of its row Gram matrix ``m @ m.T``, at a fraction of
+    the cost of a thin SVD of ``m``.  A tall ``m``
     takes its thin SVD, since the Gram matrix of the longer side is never
     formed; when it has fewer than ``k`` columns, one QR against
     ``e_1 .. e_k`` completes the frame with zero-energy directions.  At a
@@ -168,17 +169,27 @@ def _dominant_left_frame(m: np.ndarray, k: int) -> np.ndarray:
 
     The Gram branch resolves the frame only to about ``eps*s1**2/(sk**2 - sk1**2)``
     for singular values ``s1 >= sk > sk1`` (indices 1, k, k+1); the SVD reaches
-    ``eps*s1/(sk - sk1)``.  On the criterion-8 tensor at ranks (3, 3, 3), the
-    converged mode-1 operator's Gram frame is 4.3e-5 from its SVD frame in
-    projector Frobenius norm, yet the captured energy agrees to 5e-16 relative
-    and every report figure above 1e-12 * ||t|| holds.
+    ``eps*s1/(sk - sk1)``.  On the criterion-8 tensor at ranks (3, 3, 3), from
+    the ST-HOSVD start, the converged operators' Gram frames are 2.7e-6 to
+    8.5e-5 from their SVD frames in projector Frobenius norm (mode 1: 3.4e-5),
+    yet the captured energy agrees to 4.3e-16 relative, and a solve with the
+    SVD rule alone ends 8.0e-13 * ||t|| from this one's error.
     """
     if m.shape[0] <= m.shape[1]:
-        return np.linalg.eigh(m @ m.T)[1][:, ::-1][:, :k]
+        return _gram_frame(m @ m.T, k)
     u = np.linalg.svd(m, full_matrices=False)[0]
     if u.shape[1] < k:
         u = np.linalg.qr(np.hstack([u, np.eye(m.shape[0], k)]))[0]
     return u[:, :k]
+
+
+def _gram_frame(g: np.ndarray, k: int) -> np.ndarray:
+    """Eigenvectors of the symmetric ``g`` with the ``k`` largest eigenvalues, largest first.
+
+    The Gram step of :func:`_dominant_left_frame`: for ``g = m @ m.T`` these
+    are the top ``k`` left singular vectors of ``m``.
+    """
+    return np.linalg.eigh(g)[1][:, ::-1][:, :k]
 
 
 def random_triple(
@@ -194,15 +205,57 @@ def random_triple(
 
 
 def hosvd_init(t: DenseTensor3, ranks: tuple[int, int, int]) -> SubspaceTriple:
-    """Initial triple from the dominant left singular frames of the unfoldings.
+    """Initial triple by the sequentially truncated HOSVD (ST-HOSVD).
 
-    Each mode's frame is :func:`_dominant_left_frame` of its unfolding, the
-    rule every relaxation step applies to a projected operator.
+    The modes are visited in the order of the multilinear product, smallest
+    ``k_j / m_j`` first, ties in axis order (``tensor_core._shrink_order``).
+    Each mode's frame is :func:`_dominant_left_frame` of the unfolding of
+    the tensor already truncated in the modes visited before it, the rule
+    every relaxation step applies to a projected operator; the tensor is
+    then truncated in that mode too.  So only the first mode sees the full
+    tensor (:func:`_full_mode_frame`, which copies it for no wide or square
+    unfolding), and the later Gram matrices are of the shrunk one.
+
+    As for the HOSVD, ``distance(t, s)**2 <= sum_j tail_j**2``, where
+    ``tail_j**2`` is the sum of the squared singular values of ``unfold(t, j)``
+    past ``k_j`` (Vannieuwenhoven, Vandebril & Meerbergen, SISC 2012).  The
+    first mode's frame is the HOSVD's; the later ones capture the top energy
+    of the truncated tensor, not of ``t``.
     """
     ranks = _check_ranks(t.dims, ranks)
-    return SubspaceTriple(
-        *(Subspace(_dominant_left_frame(unfold(t, j + 1), k)) for j, k in enumerate(ranks))
-    )
+    frames = [None, None, None]
+    data = t.data
+    for n, ax in enumerate(_shrink_order(ranks, t.dims)):
+        if n == 0:
+            f = _full_mode_frame(t, ax, ranks[ax])
+        else:
+            f = _dominant_left_frame(_unfold(data, ax), ranks[ax])
+        frames[ax] = f
+        data = _mode_product(data, f.T, ax)
+    return SubspaceTriple(*(Subspace(f) for f in frames))
+
+
+def _full_mode_frame(t: DenseTensor3, ax: int, k: int) -> np.ndarray:
+    """:func:`_dominant_left_frame` of ``unfold(t, ax + 1)``, with no copy of a wide one.
+
+    Mode 1's unfolding is a view.  The other two move an axis, so their
+    unfoldings copy the tensor; a wide or square one instead has its row Gram
+    matrix summed from ``t.data`` in place, ``sum_i t[i] @ t[i].T`` for mode 2
+    and ``D.T @ D`` with ``D = t.data.reshape(-1, m3)`` for mode 3, and takes
+    :func:`_gram_frame` of it, as the frame rule does.  A tall one
+    (``m_j > m_p * m_q``) needs its thin SVD, so it is unfolded.
+    """
+    m = t.dims[ax]
+    if ax == 0 or m > t.size // m:
+        return _dominant_left_frame(unfold(t, ax + 1), k)
+    if ax == 1:
+        g = np.zeros((m, m))
+        for slab in t.data:
+            g += slab @ slab.T
+    else:
+        d = t.data.reshape(-1, m)
+        g = d.T @ d
+    return _gram_frame(g, k)
 
 
 def _sweep(data: np.ndarray, frames) -> tuple[list[np.ndarray], float, tuple[float, ...]]:
@@ -282,7 +335,7 @@ def _long_mode(dims, ranks) -> int | None:
 def bsta_solve(t: DenseTensor3, opts: BstaOptions) -> BstaResult:
     """Alternating relaxation for the best subspace approximation.
 
-    Sweeps raw frames from an HOSVD or seeded random start until a sweep
+    Sweeps raw frames from an ST-HOSVD or seeded random start until a sweep
     gains less than ``rel_tol * |t|^2`` (its last objective minus that of
     the frames it starts from, both from :func:`_sweep`) or ``max_sweeps``
     runs out, then certifies the final triple with :func:`verify_critical_point`.
@@ -298,9 +351,11 @@ def bsta_solve(t: DenseTensor3, opts: BstaOptions) -> BstaResult:
     subspace is ``Q`` times the compressed operator's, and the operators
     of the other two modes do not change.  The objective history is that
     of the sweeps on ``t`` up to rounding.  Both starts are taken on the
-    compressed tensor, whose mode spectra are ``t``'s; its mode-``j``
-    unfolding ``S V^T`` is square, so there the HOSVD frame follows the
-    Gram rule and accuracy note of :func:`_dominant_left_frame`.  The
+    compressed tensor, whose mode spectra are ``t``'s.  Its mode-``j``
+    unfolding ``S V^T`` is square, so when the ST-HOSVD start visits mode
+    ``j`` first, that frame follows the Gram rule and accuracy note of
+    :func:`_dominant_left_frame`; visited later, mode ``j``'s unfolding is
+    that of the truncated tensor, tall or wide by its ranks.  The
     frames are mapped back as ``Q F``, and the certificate, the Tucker
     core and the error are computed on the full tensor.
     """

@@ -149,13 +149,22 @@ def _mode_product(data: np.ndarray, mat: np.ndarray, ax: int) -> np.ndarray:
     return (data.reshape(-1, data.shape[2]) @ mat.T).reshape(*data.shape[:2], -1)
 
 
+def _shrink_order(rows, cols) -> list[int]:
+    """The three axes by ``rows[j] / cols[j]``, smallest first, ties in axis order.
+
+    The order of mode products that shrinks the array most first, shared by
+    :func:`_multilinear` and the ST-HOSVD start (``bsta.hosvd_init``).
+    """
+    return sorted(range(3), key=lambda j: (rows[j] / cols[j], j))
+
+
 def _multilinear(data: np.ndarray, mats) -> np.ndarray:
     """The multilinear product ``data x_1 A x_2 B x_3 C`` of ``(A, B, C) = mats``.
 
-    Three :func:`_mode_product` calls, the most shrinking (smallest rows/cols,
-    ties in axis order) first; at most two of the products are held at once.
+    Three :func:`_mode_product` calls in :func:`_shrink_order` of the matrices'
+    rows/cols; at most two of the products are held at once.
     """
-    for ax in sorted(range(3), key=lambda j: (mats[j].shape[0] / mats[j].shape[1], j)):
+    for ax in _shrink_order([m.shape[0] for m in mats], [m.shape[1] for m in mats]):
         data = _mode_product(data, mats[ax], ax)
     return data
 

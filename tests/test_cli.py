@@ -863,8 +863,8 @@ def test_readme_report_block(tmp_path, capsys):
     assert run_cli(capsys, argv)[0] == 0
     assert run_cli(capsys, ["bsta", f, "3", "3", "3", str(tmp_path / "run"), "--json"])[0] == 0
     report = (tmp_path / "run.report.txt").read_text().splitlines()
-    assert "error_abs=1.6787889292765146e-05" in report
-    assert "error_rel=4.0697679099834543e-06" in report
+    assert "error_abs=1.6787889292760535e-05" in report
+    assert "error_rel=4.0697679099823362e-06" in report
 
 
 def test_bench_zero_tensor_runs_with_zero_errors(tmp_path, capsys):
