@@ -35,6 +35,7 @@ from .tensor_core import (
     _checked_norm,
     _mode_product,
     _positive_int,
+    _rank_cutoff,
     _seed,
     _shrink_order,
     _three_positive_ints,
@@ -133,8 +134,11 @@ def projected_operator(t: DenseTensor3, mode: int, a: Subspace, b: Subspace) -> 
     mode-``mode`` unfolding of ``t``, which is what lets :func:`bsta_solve`
     sweep on a compressed tensor when that mode is long.
 
-    After its ambient-dims check it is the sweeps' kernel ``_operator``: two
-    ``tensor_core._mode_product`` calls, then ``tensor_core._unfold``.
+    After its ambient-dims check it is ``_operator``: two
+    ``tensor_core._mode_product`` calls, then ``tensor_core._unfold``.  A
+    sweep builds its mode-1 operator so; its mode-2 and mode-3 operators
+    make the same products in the same order, but share the first one
+    (:func:`_sweep`).
     """
     ax = _check_mode(mode)
     expected = tuple(m for k, m in enumerate(t.dims) if k != ax)
@@ -162,7 +166,10 @@ def _dominant_left_frame(m: np.ndarray, k: int) -> np.ndarray:
     the cost of a thin SVD of ``m``.  A tall ``m``
     takes its thin SVD, since the Gram matrix of the longer side is never
     formed; when it has fewer than ``k`` columns, one QR against
-    ``e_1 .. e_k`` completes the frame with zero-energy directions.  At a
+    ``e_1 .. e_k`` completes the frame with zero-energy directions.  (A tall
+    unfolding of the full tensor is the exception: :func:`_full_mode_frame`
+    reaches the same frame through its short-side Gram matrix, so that the
+    tensor is neither copied nor given an ``m_j``-row factor.)  At a
     tie across the ``k`` boundary any dominant subspace is optimal, and
     this returns the one the factorization orders first.  Callers keep
     ``k`` at most the row count.
@@ -213,8 +220,8 @@ def hosvd_init(t: DenseTensor3, ranks: tuple[int, int, int]) -> SubspaceTriple:
     the tensor already truncated in the modes visited before it, the rule
     every relaxation step applies to a projected operator; the tensor is
     then truncated in that mode too.  So only the first mode sees the full
-    tensor (:func:`_full_mode_frame`, which copies it for no wide or square
-    unfolding), and the later Gram matrices are of the shrunk one.
+    tensor (:func:`_full_mode_frame`, which copies no unfolding of it), and
+    the later Gram matrices are of the shrunk one.
 
     As for the HOSVD, ``distance(t, s)**2 <= sum_j tail_j**2``, where
     ``tail_j**2`` is the sum of the squared singular values of ``unfold(t, j)``
@@ -236,46 +243,110 @@ def hosvd_init(t: DenseTensor3, ranks: tuple[int, int, int]) -> SubspaceTriple:
 
 
 def _full_mode_frame(t: DenseTensor3, ax: int, k: int) -> np.ndarray:
-    """:func:`_dominant_left_frame` of ``unfold(t, ax + 1)``, with no copy of a wide one.
+    """:func:`_dominant_left_frame` of ``unfold(t, ax + 1)``, with no copy of the tensor.
 
-    Mode 1's unfolding is a view.  The other two move an axis, so their
-    unfoldings copy the tensor; a wide or square one instead has its row Gram
-    matrix summed from ``t.data`` in place, ``sum_i t[i] @ t[i].T`` for mode 2
-    and ``D.T @ D`` with ``D = t.data.reshape(-1, m3)`` for mode 3, and takes
-    :func:`_gram_frame` of it, as the frame rule does.  A tall one
-    (``m_j > m_p * m_q``) needs its thin SVD, so it is unfolded.
+    Mode 1's wide or square unfolding is a view, so it takes the frame rule
+    as it is.  Any other unfolding ``A`` has its short-side Gram matrix
+    summed from ``t.data`` in place (:func:`_short_gram`).  A wide or square
+    one takes :func:`_gram_frame` of ``A @ A.T``, as the frame rule does.  A
+    tall one (``m_j > m_p * m_q``) takes the top ``k`` eigenvectors ``V`` of
+    ``A.T @ A`` and then one QR of ``A V``, whose columns are the top left
+    singular vectors scaled by their singular values; when ``A`` has fewer
+    than ``k`` columns, the same QR against ``e_1 .. e_k`` completes the
+    frame with zero-energy directions.  So no thin SVD of ``A`` and no
+    ``m_j``-row left factor is formed, and the frame carries the Gram
+    route's accuracy (see :func:`_dominant_left_frame`).
     """
     m = t.dims[ax]
-    if ax == 0 or m > t.size // m:
-        return _dominant_left_frame(unfold(t, ax + 1), k)
-    if ax == 1:
+    tall = m > t.size // m
+    if ax == 0 and not tall:
+        return _dominant_left_frame(unfold(t, 1), k)
+    v = _gram_frame(_short_gram(t.data, ax), k)
+    if not tall:
+        return v
+    a = _unfolding_times(t.data, ax, v)
+    if a.shape[1] < k:
+        a = np.hstack([a, np.eye(m, k)])
+    return np.linalg.qr(a)[0][:, :k]
+
+
+def _short_gram(data: np.ndarray, ax: int) -> np.ndarray:
+    """Gram matrix of the short side of the mode-``ax + 1`` unfolding ``A`` of ``data``.
+
+    ``A @ A.T`` when ``A`` is wide or square and ``A.T @ A`` when it is tall,
+    summed from ``data`` in place: ``A`` is a view of ``data`` for mode 1
+    and the transpose of ``D = data.reshape(-1, m3)`` for mode 3.  For mode
+    2, ``A @ A.T`` is ``sum_i data[i] @ data[i].T``, and block ``(i, i')`` of
+    ``A.T @ A`` is ``data[i].T @ data[i']``, written into place by one
+    batched product.
+    """
+    m = data.shape[ax]
+    tall = m > data.size // m
+    if ax == 0:
+        a = data.reshape(m, -1)
+        return a.T @ a if tall else a @ a.T
+    if ax == 2:
+        d = data.reshape(-1, m)
+        return d @ d.T if tall else d.T @ d
+    if not tall:
         g = np.zeros((m, m))
-        for slab in t.data:
+        for slab in data:
             g += slab @ slab.T
-    else:
-        d = t.data.reshape(-1, m)
-        g = d.T @ d
-    return _gram_frame(g, k)
+        return g
+    n1, _, n3 = data.shape
+    g = np.empty((n1, n3, n1, n3))
+    np.matmul(data.transpose(0, 2, 1)[:, None], data[None], out=g.transpose(0, 2, 1, 3))
+    return g.reshape(n1 * n3, n1 * n3)
+
+
+def _unfolding_times(data: np.ndarray, ax: int, w: np.ndarray) -> np.ndarray:
+    """``A @ w`` for the mode-``ax + 1`` unfolding ``A`` of ``data``, with no copy of ``data``.
+
+    ``w`` has one row per column of ``A``.  For mode 2 the product is
+    summed one slab ``data[i]`` at a time, so it holds only its result.
+    """
+    m = data.shape[ax]
+    if ax == 0:
+        return data.reshape(m, -1) @ w
+    if ax == 2:
+        return data.reshape(-1, m).T @ w
+    w = w.reshape(data.shape[0], data.shape[2], -1)
+    out = data[0] @ w[0]
+    for slab, block in zip(data[1:], w[1:]):
+        out += slab @ block
+    return out
 
 
 def _sweep(data: np.ndarray, frames) -> tuple[list[np.ndarray], float, tuple[float, ...]]:
-    """One alternating sweep on raw ``(m, k)`` frames.
+    """One alternating sweep on raw ``(m, k)`` frames ``X, Y, Z``.
 
     Each mode's frame becomes the dominant left frame of its projected
-    operator, the other two held.  Returns the new frames (C-contiguous, as
-    :class:`~.subspace.Subspace` stores them, so products keep their bits),
-    the given frames' objective ``|F_1^T M_1|^2`` on the first operator, and
-    the objective after each update; the sweep's gain is the last minus the given frames'.
+    operator, the other two held.  The mode-1 operator is :func:`_operator`
+    of ``data``.  The mode-2 and mode-3 operators both start from
+    ``t1 = data x_1 X^T`` at the updated ``X``, which is formed once: mode 2
+    takes ``t1 x_3 Z^T`` and mode 3 ``t1 x_2 Y^T`` at the updated ``Y``,
+    the products :func:`_operator` would make, in its order.  So a sweep
+    reads the full-size ``data`` twice.  Returns the new frames
+    (C-contiguous, as :class:`~.subspace.Subspace` stores them, so products
+    keep their bits), the given frames' objective ``|X^T M_1|^2`` on the
+    first operator, and the objective after each update; the sweep's gain is
+    the last minus the given frames'.
     """
-    frames = list(frames)
+    x, y, z = frames
     objectives = []
-    for j in range(3):
-        m = _operator(data, j, *(frames[k] for k in range(3) if k != j))
-        if j == 0:
-            before = float(np.linalg.norm(frames[0].T @ m) ** 2)
-        frames[j] = f = np.ascontiguousarray(_dominant_left_frame(m, frames[j].shape[1]))
+
+    def update(m: np.ndarray, k: int) -> np.ndarray:
+        f = np.ascontiguousarray(_dominant_left_frame(m, k))
         objectives.append(float(np.linalg.norm(f.T @ m) ** 2))
-    return frames, before, tuple(objectives)
+        return f
+
+    m = _operator(data, 0, y, z)
+    before = float(np.linalg.norm(x.T @ m) ** 2)
+    x = update(m, x.shape[1])
+    t1 = _mode_product(data, x.T, 0)
+    y = update(_unfold(_mode_product(t1, z.T, 2), 1), y.shape[1])
+    z = update(_unfold(_mode_product(t1, y.T, 1), 2), z.shape[1])
+    return [x, y, z], before, tuple(objectives)
 
 
 def verify_critical_point(
@@ -332,6 +403,47 @@ def _long_mode(dims, ranks) -> int | None:
     return None
 
 
+def _compress(t: DenseTensor3, j: int, k: int):
+    """The tensor the sweeps run on when mode ``j`` (0-based) is long, and the map back.
+
+    With ``A`` the mode-``j`` unfolding (``m_j x n``, ``n = m_p * m_q``) and
+    ``A.T @ A = V diag(lam) V^T`` (:func:`_short_gram`, then ``eigh``,
+    largest first), returns ``(fold(sqrt(lam) V^T), V / sqrt(lam))`` over
+    the kept eigenvalues.  ``A V / sqrt(lam)`` is an orthonormal basis of
+    the kept part of the unfolding's range, up to the Gram matrix's
+    rounding, so a frame ``F`` of the compressed mode maps back as the
+    orthonormal factor of ``A (V / sqrt(lam)) F``: ``m_j x k`` work, and no
+    ``m_j x n`` array.
+
+    The Gram matrix squares the conditioning: its eigenvalues carry
+    rounding of about ``max(m_j, n) * eps * lam_1`` from the ``m_j``-term
+    sums that form it.  Only the eigenvalues above that are kept, which is
+    the rule of :func:`~.tensor_core.numerical_rank` applied to the squared
+    spectrum: the singular values above ``sqrt(max(m_j, n) * eps) * s_1``.
+    The directions below the cutoff are dropped.  The sweeps do not see
+    them, each holds at most ``max(m_j, n) * eps * |t|**2`` of the squared
+    norm, and the error, computed on ``t``, keeps their part.  A kept
+    direction of singular value ``s`` is resolved only to about
+    ``eps * s_1**2 / s``, and that much of ``t`` can be missing from the
+    compressed tensor.  So the error of a compressed solve may exceed that
+    of the sweeps on ``t`` by up to about ``eps * s_1**2 / s_min`` for the
+    smallest kept ``s_min``: under ``2.2e-11 * s_1`` when ``s_min >= 1e-5 *
+    s_1``, and at worst about ``sqrt(eps / max(m_j, n)) * s_1``.  When ``k``
+    exceeds the kept count, as for a zero or rank-deficient mode, the frame
+    would need dropped directions, so this returns ``(t, None)``: the
+    sweeps run on ``t``.
+    """
+    lam, v = np.linalg.eigh(_short_gram(t.data, j))
+    lam, v = lam[::-1], v[:, ::-1]
+    kept = _rank_cutoff(lam, (t.dims[j], lam.size))
+    if k > kept:
+        return t, None
+    root = np.sqrt(lam[:kept])
+    v = v[:, :kept]
+    dims = tuple(kept if i == j else m for i, m in enumerate(t.dims))
+    return fold(root[:, None] * v.T, j + 1, dims), v / root
+
+
 def bsta_solve(t: DenseTensor3, opts: BstaOptions) -> BstaResult:
     """Alternating relaxation for the best subspace approximation.
 
@@ -343,30 +455,34 @@ def bsta_solve(t: DenseTensor3, opts: BstaOptions) -> BstaResult:
 
     When one mode is longer than the product of the other two dims
     (``m_j > m_p * m_q``, and ``k_j <= k_p * k_q``), the sweeps run on the
-    compressed tensor ``t x_j Q^T``, where ``Q`` is an orthonormal basis
-    of the column space of the mode-``j`` unfolding (its thin SVD): a
-    core with ``m_p * m_q`` rows in mode ``j`` instead of ``m_j``.  This
-    is exact, because every projected operator of mode ``j`` has its
-    columns in the range of that unfolding, so its dominant left
-    subspace is ``Q`` times the compressed operator's, and the operators
-    of the other two modes do not change.  The objective history is that
-    of the sweeps on ``t`` up to rounding.  Both starts are taken on the
-    compressed tensor, whose mode spectra are ``t``'s.  Its mode-``j``
-    unfolding ``S V^T`` is square, so when the ST-HOSVD start visits mode
-    ``j`` first, that frame follows the Gram rule and accuracy note of
-    :func:`_dominant_left_frame`; visited later, mode ``j``'s unfolding is
-    that of the truncated tensor, tall or wide by its ranks.  The
-    frames are mapped back as ``Q F``, and the certificate, the Tucker
-    core and the error are computed on the full tensor.
+    compressed tensor ``t x_j W^T`` of :func:`_compress`: at most
+    ``m_p * m_q`` rows in mode ``j`` instead of ``m_j``, where ``W = A V /
+    sqrt(lam)`` comes from the eigendecomposition ``A^T A = V diag(lam)
+    V^T`` of the mode-``j`` unfolding ``A``'s small Gram matrix.  ``W`` is
+    an orthonormal basis of the unfolding's range, and every projected
+    operator of mode ``j`` has its columns in that range, so its dominant
+    left subspace is ``W`` times the compressed operator's, and the
+    operators of the other two modes do not change.  The objective history
+    is that of the sweeps on ``t`` up to the Gram matrix's accuracy, which
+    :func:`_compress` states together with its eigenvalue cutoff; when
+    ``k_j`` exceeds the kept directions (a zero or rank-deficient mode) the
+    sweeps run on ``t`` itself.  Both starts are taken on the tensor the
+    sweeps run on; the compressed one has ``t``'s mode spectra.  Its
+    mode-``j`` unfolding ``sqrt(lam) V^T`` is at most square, so when the
+    ST-HOSVD start visits mode ``j`` first, that frame follows the Gram rule
+    and accuracy note of :func:`_dominant_left_frame`; visited later, mode
+    ``j``'s unfolding is that of the truncated tensor, tall or wide by its
+    ranks.  The frame ``F`` of mode ``j`` is mapped back as the orthonormal
+    factor of one QR of ``A (V F / sqrt(lam))``, and the certificate, the
+    Tucker core and the error are computed on the full tensor.  No step
+    forms an ``m_j x m_p m_q`` array or takes an SVD of an unfolding of ``t``.
     """
     ranks = _check_ranks(t.dims, opts.target_ranks)
     norm = _checked_norm(t)
     j = _long_mode(t.dims, ranks)
-    work = t
+    work, back = t, None
     if j is not None:
-        q, sv, vh = np.linalg.svd(unfold(t, j + 1), full_matrices=False)
-        core_dims = tuple(q.shape[1] if k == j else m for k, m in enumerate(t.dims))
-        work = fold(sv[:, None] * vh, j + 1, core_dims)
+        work, back = _compress(t, j, ranks[j])
 
     if opts.init == "hosvd":
         start = hosvd_init(work, ranks)
@@ -385,8 +501,8 @@ def bsta_solve(t: DenseTensor3, opts: BstaOptions) -> BstaResult:
             stop_reason = "gain"
             break
 
-    if j is not None:
-        frames[j] = q @ frames[j]
+    if back is not None:
+        frames[j] = np.linalg.qr(_unfolding_times(t.data, j, back @ frames[j]))[0]
     s = SubspaceTriple(*(Subspace(f) for f in frames))
     residual, certified = verify_critical_point(t, s, opts.crit_tol)
     return BstaResult(

@@ -350,6 +350,13 @@ def _prepare_flrta(sizes, seed, args):
         sel = select_indices(t, sizes, trials=args.trials, seed=seed)
         fac = flrta_approx(t, sel, pinv_tol=args.pinv_tol)
         error = _residual_norm(t.data, fac.reconstruct().data)
+        if error >= norm > 0.0:
+            warnings.warn(
+                f"FLRTA error is {error / norm:.3g} times the tensor's norm at section "
+                f"sizes {tuple(sizes)}, no better than the zero tensor; try larger sections",
+                RuntimeWarning,
+                stacklevel=2,
+            )
         conds = sel.chosen_conditions
         head = [
             ("section_sizes", _fmt_dims(sizes)),

@@ -187,6 +187,10 @@ def _tail_sq(t, mode, k):
 @example(_case((3, 4, 2), (3, 4, 2)))
 @example(_case((12, 2, 3), (5, 2, 3)))
 @example(_case((7, 2, 3), (7, 1, 2)))
+# A tall first-visited unfolding with fewer columns than its rank, in each mode.
+@example(_case((10, 1, 2), (3, 1, 2)))
+@example(_case((1, 10, 2), (1, 3, 2)))
+@example(_case((2, 1, 10), (2, 1, 3)))
 @example((DenseTensor3(np.zeros((4, 1, 3))), (2, 1, 3)))
 def test_st_hosvd_frames_are_orthonormal_and_meet_the_tail_bound(case):
     # Energy, not subspaces, is compared, so the check also holds when
@@ -298,6 +302,28 @@ def sweep_triple(t, s):
     return SubspaceTriple(*(Subspace(f) for f in frames)), fs
 
 
+def test_a_sweep_reads_the_full_tensor_twice(monkeypatch):
+    # The mode-1 operator reads t once (t x_2 Y^T, then x_3 Z^T on the
+    # result); t x_1 X^T at the updated X is the other read, shared by the
+    # mode-2 and mode-3 operators.
+    rng = np.random.default_rng(104)
+    t = random_tensor(rng, (9, 9, 9))
+    frames = [random_orthonormal(rng, 9, 3) for _ in range(3)]
+    full = []
+    product = tapprox.tensor_core._mode_product
+
+    def spy(data, mat, ax):
+        if data.size == t.size:
+            full.append(ax)
+        return product(data, mat, ax)
+
+    monkeypatch.setattr(tapprox.bsta, "_mode_product", spy)
+    monkeypatch.setattr(tapprox.tensor_core, "_mode_product", spy)
+    for sweeps in range(1, 4):
+        frames, _, _ = tapprox.bsta._sweep(t.data, frames)
+        assert full == [1, 0] * sweeps
+
+
 def test_sweep_objectives_never_decrease():
     rng = np.random.default_rng(83)
     t = random_tensor(rng, (5, 5, 5))
@@ -378,19 +404,30 @@ def test_completed_sweep_frame_captures_all_of_its_operator(case, seed):
         assert abs(fs[j] - top) <= 1e-12 * norm_sq
 
 
-def _compress(t, j):
-    """The tensor bsta_solve sweeps when mode ``j`` of ``t`` is long, and ``Q``.
+def _compress(t, j, k):
+    """The tensor bsta_solve sweeps when mode ``j`` of ``t`` is long, and the map back.
 
-    That is ``fold(S V^T)``, from the thin SVD ``Q S V^T`` of the mode-``j``
-    unfolding; ``Q`` maps mode ``j``'s frame into the full mode space.
+    With ``A`` the mode-``j`` unfolding and ``A^T A = V diag(lam) V^T``,
+    largest first, the eigenvalues above ``max(A.shape) * eps * lam_1`` are
+    kept.  The tensor is ``fold(sqrt(lam) V^T)``, and a frame ``F`` of it
+    maps back to the orthonormal factor of ``A V diag(lam)^{-1/2} F``.  When
+    fewer than ``k`` are kept, ``t`` is swept as it is: ``(t, None)``.
     """
-    q, sv, vh = np.linalg.svd(unfold(t, j + 1), full_matrices=False)
-    dims = tuple(q.shape[1] if k == j else m for k, m in enumerate(t.dims))
-    return fold(sv[:, None] * vh, j + 1, dims), q
+    a = unfold(t, j + 1)
+    lam, v = np.linalg.eigh(a.T @ a)
+    lam, v = lam[::-1], v[:, ::-1]
+    kept = int(np.sum(lam > max(a.shape) * np.finfo(float).eps * lam[0])) if lam[0] > 0 else 0
+    if k > kept:
+        return t, None
+    root = np.sqrt(lam[:kept])
+    dims = tuple(kept if i == j else m for i, m in enumerate(t.dims))
+    v = v[:, :kept]
+    basis = a @ (v / root)
+    return fold(root[:, None] * v.T, j + 1, dims), lambda f: np.linalg.qr(basis @ f)[0]
 
 
 def _compressed_case(dims, ranks, j, seed=0):
-    return _compress(_case(dims, ranks, seed)[0], j)[0], ranks
+    return _compress(_case(dims, ranks, seed)[0], j, ranks[j])[0], ranks
 
 
 @settings(max_examples=60, deadline=None)
@@ -551,12 +588,12 @@ def test_compressed_sweeps_match_the_sweeps_on_the_full_tensor(case):
     # The solver takes either start on the tensor it sweeps: t, or with a long
     # mode j its compression.
     j = tapprox.bsta._long_mode(t.dims, ranks)
-    work = t
+    work, lift = t, None
     if j is not None:
-        work, q = _compress(t, j)
+        work, lift = _compress(t, j, ranks[j])
     s = hosvd_init(work, ranks) if init == "hosvd" else random_triple(work.dims, ranks, seed=7)
-    if j is not None:
-        s = SubspaceTriple(*s[:j], Subspace(q @ s[j].frame), *s[j + 1 :])
+    if lift is not None:
+        s = SubspaceTriple(*s[:j], Subspace(lift(s[j].frame)), *s[j + 1 :])
     history = []
     for _ in range(res.sweeps):
         s, fs = sweep_triple(t, s)
@@ -570,6 +607,104 @@ def test_compressed_sweeps_match_the_sweeps_on_the_full_tensor(case):
         # one pins the subspaces down.
         if norm_sq > 0:
             assert same_subspace(sub, ref, tol=1e-8)
+
+
+def _spectral(dims, ranks, s, seed=0):
+    """A tensor whose long-mode unfolding has singular values ``s``, with its ranks and mode.
+
+    The unfolding is ``U diag(s) V^T`` with seeded random orthonormal ``U`` and ``V``.
+    """
+    j = tapprox.bsta._long_mode(dims, ranks)
+    rng = np.random.default_rng(seed)
+    n = len(s)
+    u, v = random_orthonormal(rng, dims[j], n), random_orthonormal(rng, n, n)
+    return fold((u * np.asarray(s, float)) @ v.T, j + 1, dims), ranks, j
+
+
+@st.composite
+def degenerate_long_mode_case(draw):
+    """A long mode whose unfolding is rank-deficient, ill-conditioned or zero (:func:`_spectral`).
+
+    The ranks meet ``_long_mode``'s rule.  A rank-deficient spectrum ends in
+    zeros; an ill-conditioned one falls geometrically to ``1e-5`` or less of
+    ``s_1``, and may end in zeros too.
+    """
+    short = [draw(st.integers(1, 3)) for _ in range(2)]
+    j = draw(st.integers(0, 2))
+    n = short[0] * short[1]
+    dims = tuple(short[:j] + [draw(st.integers(n + 1, 40))] + short[j:])
+    held = [draw(st.integers(1, d)) for d in short]
+    ranks = tuple(held[:j] + [draw(st.integers(1, held[0] * held[1]))] + held[j:])
+    kind = draw(st.sampled_from(("rank-deficient", "ill-conditioned", "zero")))
+    r = draw(st.integers(1, n))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "rank-deficient":
+        s = np.sort(np.random.default_rng(seed).uniform(0.1, 1.0, r))[::-1]
+    elif kind == "ill-conditioned":
+        s = np.logspace(0, -draw(st.floats(2.0, 5.0)), r)
+    else:
+        s = np.zeros(r)
+    return _spectral(dims, ranks, np.r_[s, np.zeros(n - r)], seed)
+
+
+def _error_against_the_full_sweeps(t, ranks, j, sweeps=8):
+    """``bsta_solve``'s result, and the error of as many sweeps on ``t`` from its start."""
+    res = bsta_solve(t, BstaOptions(target_ranks=ranks, max_sweeps=sweeps, rel_tol=1e-30))
+    work, lift = _compress(t, j, ranks[j])
+    s = hosvd_init(work, ranks)
+    if lift is not None:
+        s = SubspaceTriple(*s[:j], Subspace(lift(s[j].frame)), *s[j + 1 :])
+    for _ in range(res.sweeps):
+        s, _ = sweep_triple(t, s)
+    return res, distance(t, s)
+
+
+@settings(max_examples=80, deadline=None)
+@given(degenerate_long_mode_case())
+# Mode 1 of rank 2 at rank 3: too few kept eigenvalues, so no compression.
+@example(_spectral((30, 3, 2), (3, 2, 2), [1.0, 0.5, 0, 0, 0, 0]))
+# Rank 2 at rank 2: compressed to 2 rows.
+@example(_spectral((30, 3, 2), (2, 2, 2), [1.0, 0.5, 0, 0, 0, 0]))
+@example(_spectral((3, 40, 3), (3, 3, 3), np.r_[np.logspace(0, -5, 6), 0, 0, 0]))
+@example(_spectral((2, 2, 25), (2, 2, 4), np.zeros(4)))
+def test_compression_of_a_degenerate_long_mode_keeps_the_error(case):
+    # The solver sweeps the compressed tensor, or t itself when its rank
+    # exceeds the kept eigenvalues; the reference sweeps t from the same
+    # start.  Every kept singular value is at least 1e-5 s_1, so the
+    # compression holds t to about eps s_1 / 1e-5 (bsta._compress).
+    t, ranks, j = case
+    res, want = _error_against_the_full_sweeps(t, ranks, j)
+    assert abs(res.approx_error - want) <= 1e-10 * hs_norm(t)
+    for sub, k in zip(res.subspaces, ranks):
+        f = Subspace(sub.frame).frame
+        assert np.max(np.abs(f.T @ f - np.eye(k))) <= 1e-12
+
+
+def test_compression_error_is_bounded_by_the_smallest_kept_singular_value():
+    # Mode 1 singular values 1, 1e-6 and 1e-12: the Gram cutoff (25 eps)
+    # keeps two.  The sweeps on t leave out only s_3, an error of 1e-12, but
+    # the Gram resolves s_2's direction only to about eps / 1e-6 = 2.2e-10,
+    # and here 9.7e-11 of t is missing from the compressed tensor: within
+    # the bound _compress states, and past the 1e-10 of better-conditioned
+    # modes.
+    t, ranks, j = _spectral((25, 1, 3), (2, 1, 2), [1.0, 1e-6, 1e-12], seed=4)
+    assert tapprox.bsta._compress(t, j, ranks[j])[0].dims == (2, 1, 3)
+    res, want = _error_against_the_full_sweeps(t, ranks, j)
+    assert want <= 1.1e-12
+    assert res.approx_error - want <= np.finfo(float).eps / 1e-6
+
+
+def test_compression_falls_back_when_the_rank_exceeds_the_kept_directions():
+    for t, ranks, j in (
+        _spectral((30, 3, 2), (3, 2, 2), [1.0, 0.5, 0, 0, 0, 0]),
+        # Singular values 1, 0.1, ..., 1e-8: all but 1e-8 are above the cutoff.
+        _spectral((3, 40, 3), (3, 9, 3), np.logspace(0, -8, 9)),
+        _spectral((2, 2, 25), (2, 2, 4), np.zeros(4)),
+    ):
+        assert tapprox.bsta._compress(t, j, ranks[j]) == (t, None)
+    t, ranks, j = _spectral((3, 40, 3), (3, 8, 3), np.logspace(0, -8, 9))
+    work, back = tapprox.bsta._compress(t, j, ranks[j])
+    assert work.dims == (3, 8, 3) and back.shape == (9, 8)
 
 
 def test_sweeps_run_on_the_compressed_tensor(monkeypatch):
@@ -652,18 +787,36 @@ def test_solve_forms_coefficient_tensors_only_at_its_end(monkeypatch):
         assert all(d == dims for d in calls), (dims, calls)
 
 
-def test_long_mode_solve_builds_no_square_array():
-    # Q Q^T, or a full SVD of the 6000 x 64 mode-1 unfolding, would take
-    # 288 MB; the tensor itself takes 3 MB.
-    rng = np.random.default_rng(99)
-    t = random_tensor(rng, (6000, 8, 8))
-    tracemalloc.start()
-    try:
-        bsta_solve(t, BstaOptions(target_ranks=(4, 4, 4), max_sweeps=5))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+@pytest.mark.parametrize(
+    "dims, ranks, bound",
+    [
+        ((6000, 8, 8), (4, 4, 4), 1.5),
+        # Not compressed (k_j > k_p * k_q); the start visits the tall mode first.
+        ((20, 1000, 20), (2, 5, 2), 1.3),
+        ((1000, 20, 20), (5, 2, 2), 1.3),
+        ((20, 20, 1000), (2, 2, 5), 1.3),
+    ],
+    ids=["long-mode-1", "tall-mode-2", "tall-mode-1", "tall-mode-3"],
+)
+def test_solve_memory_per_shape_class(dims, ranks, bound):
+    # Neither the compression nor a tall start copies an unfolding or forms
+    # an m_j-row factor of it (a thin SVD of the 6000 x 64 unfolding would
+    # add 1x, and Q Q^T or its full SVD 288 MB); the peak is distance()'s
+    # projection, 1x the tensor, plus what is small beside it.  A tall start
+    # alone holds its short-side Gram matrix and that matrix's eigenvectors
+    # (0.4x each here).
+    t = random_tensor(np.random.default_rng(105), dims)
+    runs = [(lambda: bsta_solve(t, BstaOptions(target_ranks=ranks, max_sweeps=3)), bound)]
+    if tapprox.bsta._long_mode(dims, ranks) is None:
+        runs.append((lambda: hosvd_init(t, ranks), 1.0))
+    for run, most in runs:
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= most * t.data.nbytes, (dims, most, peak / t.data.nbytes)
 
 
 def test_residual_holds_one_projection_beyond_the_input():

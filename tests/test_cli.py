@@ -730,6 +730,39 @@ def test_flrta_zero_tensor_degenerates_gracefully(tmp_path, capsys):
     assert rep["cond_outer"] == "inf"
 
 
+def _stderr_lines(err: str) -> list[str]:
+    return [line for line in err.splitlines() if not line.startswith("wall_time_s=")]
+
+
+def test_flrta_warns_when_it_is_no_better_than_the_zero_tensor(tmp_path, capsys):
+    # The benchmark's cli_text tensor at 30^3: rank 10 plus noise 1e-3.  At
+    # sections of the rank the pseudo-skeleton amplifies the noise, so the
+    # error is 1.31 times the tensor's norm (2.08 at cli_text's 100^3).
+    f = str(tmp_path / "n.t3")
+    argv = ["gen", f, "--dims", "30,30,30", "--mlrank", "10,10,10", "--noise", "1e-3", "--seed", "1"]
+    assert run_cli(capsys, argv)[0] == 0
+    prefix = str(tmp_path / "o")
+    rc, out, err = run_cli(capsys, ["flrta", f, "10", "10", "10", prefix])
+    assert rc == 0
+    assert _stderr_lines(err) == [
+        "warning: FLRTA error is 1.31 times the tensor's norm at section sizes (10, 10, 10), "
+        "no better than the zero tensor; try larger sections"
+    ]
+    # The warning goes to stderr only; the report is the one written.
+    assert report_dict(out)["error_rel"] == "1.306330216427545"
+    assert Path(prefix + ".report.txt").read_text(encoding="utf-8") == out
+
+
+def test_flrta_does_not_warn_on_an_exact_cross(tmp_path, capsys):
+    f = str(tmp_path / "e.t3")
+    argv = ["gen", f, "--dims", "8,9,7", "--mlrank", "2,3,2", "--seed", "3"]
+    assert run_cli(capsys, argv)[0] == 0
+    rc, out, err = run_cli(capsys, ["flrta", f, "2", "3", "2", str(tmp_path / "o")])
+    assert rc == 0
+    assert float(report_dict(out)["error_rel"]) <= 1e-10
+    assert _stderr_lines(err) == []
+
+
 def test_flrta_rejects_negative_pinv_tol(tmp_path, capsys):
     f = str(tmp_path / "g.t3")
     rc, _, _ = run_cli(capsys, ["gen", f, "--dims", "5,5,5", "--mlrank", "2,2,2", "--seed", "1"])
