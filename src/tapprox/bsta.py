@@ -156,47 +156,46 @@ def _operator(data: np.ndarray, ax: int, a: np.ndarray, b: np.ndarray) -> np.nda
     return _unfold(_mode_product(_mode_product(data, a.T, lo), b.T, hi), ax)
 
 
-def _dominant_left_frame(m: np.ndarray, k: int) -> np.ndarray:
+def _dominant_left_frame(
+    m: np.ndarray | tuple[int, int], k: int, gram: np.ndarray | None = None, times=None
+) -> np.ndarray:
     """Orthonormal frame of the top ``k`` left singular vectors of ``m``.
 
     This is the one rule for a frame: :func:`hosvd_init` applies it to each
-    unfolding of its truncated tensor and each sweep's mode update to its
-    projected operator.  A wide or square ``m`` (rows <= cols) takes
-    :func:`_gram_frame` of its row Gram matrix ``m @ m.T``, at a fraction of
-    the cost of a thin SVD of ``m``.  A tall ``m``
-    takes its thin SVD, since the Gram matrix of the longer side is never
-    formed; when it has fewer than ``k`` columns, one QR against
-    ``e_1 .. e_k`` completes the frame with zero-energy directions.  (A tall
-    unfolding of the full tensor is the exception: :func:`_full_mode_frame`
-    reaches the same frame through its short-side Gram matrix, so that the
-    tensor is neither copied nor given an ``m_j``-row factor.)  At a
-    tie across the ``k`` boundary any dominant subspace is optimal, and
-    this returns the one the factorization orders first.  Callers keep
-    ``k`` at most the row count.
+    unfolding and each sweep's mode update to its projected operator.  It
+    takes the top ``k`` eigenvectors ``V`` of the short side's Gram matrix,
+    largest first.  For a wide or square ``m`` (rows <= cols) that is
+    ``m @ m.T``, and ``V`` is the frame.  For a tall ``m`` it is
+    ``m.T @ m``, and the frame is the orthonormal factor of one QR of
+    ``m V``, whose columns are the top left singular vectors scaled by
+    their singular values; when ``m`` has fewer than ``k`` columns, the same
+    QR against ``e_1 .. e_k`` completes the frame with zero-energy
+    directions.  When ``m``'s entries are not at hand (:func:`_full_mode_frame`),
+    ``m`` is its ``(rows, cols)`` shape, ``gram`` its short-side Gram matrix
+    and ``times`` the map ``w -> m @ w``.  At a tie across the ``k``
+    boundary any dominant subspace is optimal, and this returns the one
+    ``eigh`` orders first.  Callers keep ``k`` at most the row count.
 
-    The Gram branch resolves the frame only to about ``eps*s1**2/(sk**2 - sk1**2)``
-    for singular values ``s1 >= sk > sk1`` (indices 1, k, k+1); the SVD reaches
-    ``eps*s1/(sk - sk1)``.  On the criterion-8 tensor at ranks (3, 3, 3), from
-    the ST-HOSVD start, the converged operators' Gram frames are 2.7e-6 to
-    8.5e-5 from their SVD frames in projector Frobenius norm (mode 1: 3.4e-5),
-    yet the captured energy agrees to 4.3e-16 relative, and a solve with the
-    SVD rule alone ends 8.0e-13 * ||t|| from this one's error.
+    A frame is resolved only to about ``eps*s1**2/(sk**2 - sk1**2)`` for
+    singular values ``s1 >= sk > sk1`` (indices 1, k, k+1), where a thin SVD
+    reaches ``eps*s1/(sk - sk1)``; the energy it captures is resolved to
+    rounding.  On the criterion-8 tensor at ranks (3, 3, 3), from the
+    ST-HOSVD start, the converged operators' frames are 2.7e-6 to 8.5e-5
+    from their SVD frames in projector Frobenius norm (mode 1: 3.4e-5), yet
+    the captured energy agrees to 4.3e-16 relative, and a solve with SVD
+    frames ends 8.0e-13 * ||t|| from this one's error.
     """
-    if m.shape[0] <= m.shape[1]:
-        return _gram_frame(m @ m.T, k)
-    u = np.linalg.svd(m, full_matrices=False)[0]
-    if u.shape[1] < k:
-        u = np.linalg.qr(np.hstack([u, np.eye(m.shape[0], k)]))[0]
-    return u[:, :k]
-
-
-def _gram_frame(g: np.ndarray, k: int) -> np.ndarray:
-    """Eigenvectors of the symmetric ``g`` with the ``k`` largest eigenvalues, largest first.
-
-    The Gram step of :func:`_dominant_left_frame`: for ``g = m @ m.T`` these
-    are the top ``k`` left singular vectors of ``m``.
-    """
-    return np.linalg.eigh(g)[1][:, ::-1][:, :k]
+    rows, cols = m.shape if gram is None else m
+    tall = rows > cols
+    if gram is None:
+        gram = m.T @ m if tall else m @ m.T
+    v = np.linalg.eigh(gram)[1][:, ::-1][:, :k]
+    if not tall:
+        return v
+    a = m @ v if times is None else times(v)
+    if cols < k:
+        a = np.hstack([a, np.eye(rows, k)])
+    return np.linalg.qr(a)[0][:, :k]
 
 
 def random_triple(
@@ -221,7 +220,8 @@ def hosvd_init(t: DenseTensor3, ranks: tuple[int, int, int]) -> SubspaceTriple:
     every relaxation step applies to a projected operator; the tensor is
     then truncated in that mode too.  So only the first mode sees the full
     tensor (:func:`_full_mode_frame`, which copies no unfolding of it), and
-    the later Gram matrices are of the shrunk one.
+    the later short-side Gram matrices are of the shrunk one.  No step
+    takes an SVD.
 
     As for the HOSVD, ``distance(t, s)**2 <= sum_j tail_j**2``, where
     ``tail_j**2`` is the sum of the squared singular values of ``unfold(t, j)``
@@ -245,29 +245,18 @@ def hosvd_init(t: DenseTensor3, ranks: tuple[int, int, int]) -> SubspaceTriple:
 def _full_mode_frame(t: DenseTensor3, ax: int, k: int) -> np.ndarray:
     """:func:`_dominant_left_frame` of ``unfold(t, ax + 1)``, with no copy of the tensor.
 
-    Mode 1's wide or square unfolding is a view, so it takes the frame rule
-    as it is.  Any other unfolding ``A`` has its short-side Gram matrix
-    summed from ``t.data`` in place (:func:`_short_gram`).  A wide or square
-    one takes :func:`_gram_frame` of ``A @ A.T``, as the frame rule does.  A
-    tall one (``m_j > m_p * m_q``) takes the top ``k`` eigenvectors ``V`` of
-    ``A.T @ A`` and then one QR of ``A V``, whose columns are the top left
-    singular vectors scaled by their singular values; when ``A`` has fewer
-    than ``k`` columns, the same QR against ``e_1 .. e_k`` completes the
-    frame with zero-energy directions.  So no thin SVD of ``A`` and no
-    ``m_j``-row left factor is formed, and the frame carries the Gram
-    route's accuracy (see :func:`_dominant_left_frame`).
+    Mode 1's unfolding is a view, so it takes the frame rule as it is.  For
+    mode 2 or 3 the rule is given the unfolding's shape, its short-side Gram
+    matrix summed from ``t.data`` in place (:func:`_short_gram`) and its
+    product with a thin matrix (:func:`_unfolding_times`), so no unfolding
+    of the tensor is copied.
     """
-    m = t.dims[ax]
-    tall = m > t.size // m
-    if ax == 0 and not tall:
+    if ax == 0:
         return _dominant_left_frame(unfold(t, 1), k)
-    v = _gram_frame(_short_gram(t.data, ax), k)
-    if not tall:
-        return v
-    a = _unfolding_times(t.data, ax, v)
-    if a.shape[1] < k:
-        a = np.hstack([a, np.eye(m, k)])
-    return np.linalg.qr(a)[0][:, :k]
+    m = t.dims[ax]
+    return _dominant_left_frame(
+        (m, t.size // m), k, _short_gram(t.data, ax), lambda w: _unfolding_times(t.data, ax, w)
+    )
 
 
 def _short_gram(data: np.ndarray, ax: int) -> np.ndarray:
@@ -467,15 +456,15 @@ def bsta_solve(t: DenseTensor3, opts: BstaOptions) -> BstaResult:
     :func:`_compress` states together with its eigenvalue cutoff; when
     ``k_j`` exceeds the kept directions (a zero or rank-deficient mode) the
     sweeps run on ``t`` itself.  Both starts are taken on the tensor the
-    sweeps run on; the compressed one has ``t``'s mode spectra.  Its
-    mode-``j`` unfolding ``sqrt(lam) V^T`` is at most square, so when the
-    ST-HOSVD start visits mode ``j`` first, that frame follows the Gram rule
-    and accuracy note of :func:`_dominant_left_frame`; visited later, mode
-    ``j``'s unfolding is that of the truncated tensor, tall or wide by its
-    ranks.  The frame ``F`` of mode ``j`` is mapped back as the orthonormal
-    factor of one QR of ``A (V F / sqrt(lam))``, and the certificate, the
-    Tucker core and the error are computed on the full tensor.  No step
-    forms an ``m_j x m_p m_q`` array or takes an SVD of an unfolding of ``t``.
+    sweeps run on; the compressed one has ``t``'s mode spectra.  The frame
+    ``F`` of mode ``j`` is mapped back as the orthonormal factor of one QR
+    of ``A (V F / sqrt(lam))``, and the certificate, the Tucker core and the
+    error are computed on the full tensor.
+
+    Every frame of the start and of the sweeps comes from the one rule of
+    :func:`_dominant_left_frame`, a short-side Gram matrix's ``eigh`` and,
+    for a tall matrix, one QR, and carries its accuracy note.  No step
+    takes an SVD or forms an ``m_j x m_p m_q`` array.
     """
     ranks = _check_ranks(t.dims, opts.target_ranks)
     norm = _checked_norm(t)

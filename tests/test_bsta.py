@@ -217,33 +217,36 @@ def test_st_hosvd_frames_are_orthonormal_and_meet_the_tail_bound(case):
 def test_st_hosvd_visits_the_most_shrinking_mode_first(monkeypatch):
     # At dims (8, 12, 10) and ranks (4, 2, 5), k/m is 0.5, 0.17 and 0.5: mode
     # 2 first, then modes 1 and 3 in axis order.  Mode 2's 12 x 80 unfolding
-    # is wide, so its 12 x 12 Gram matrix is summed from the slices of the
-    # tensor; the later unfoldings are of the truncated tensor, 8 x (2*10)
-    # and then 10 x (4*2), which is tall and takes the thin SVD.
+    # is wide, so the frame rule gets only its shape and its 12 x 12 Gram
+    # matrix, summed from the slices of the tensor.  The later unfoldings
+    # are of the truncated tensor: 8 x (2*10), wide, and then 10 x (4*2),
+    # tall, whose short side gives the 8 x 8 Gram matrix.
     frames, grams = [], []
-    frame_rule, gram_rule = tapprox.bsta._dominant_left_frame, tapprox.bsta._gram_frame
+    frame_rule, eigh = tapprox.bsta._dominant_left_frame, np.linalg.eigh
 
-    def frame_spy(m, k):
-        frames.append(np.array(m))
-        return frame_rule(m, k)
+    def frame_spy(m, k, *rest):
+        frames.append(m if isinstance(m, tuple) else np.array(m))
+        return frame_rule(m, k, *rest)
 
-    def gram_spy(g, k):
+    def eigh_spy(g):
         grams.append(np.array(g))
-        return gram_rule(g, k)
+        return eigh(g)
 
     monkeypatch.setattr(tapprox.bsta, "_dominant_left_frame", frame_spy)
-    monkeypatch.setattr(tapprox.bsta, "_gram_frame", gram_spy)
+    monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
     t = random_tensor(np.random.default_rng(102), (8, 12, 10))
     s = hosvd_init(t, (4, 2, 5))
-    assert [m.shape for m in frames] == [(8, 20), (10, 8)]
-    assert [g.shape for g in grams] == [(12, 12), (8, 8)]
+    assert frames[0] == (12, 80)
+    assert [m.shape for m in frames[1:]] == [(8, 20), (10, 8)]
+    assert [g.shape for g in grams] == [(12, 12), (8, 8), (8, 8)]
     x, y = s.x.frame, s.y.frame
     u2 = unfold(t, 2)
     assert_allclose(grams[0], u2 @ u2.T, rtol=1e-13)
     truncated = np.einsum("ijk,jb->ibk", t.data, y)
-    assert_allclose(frames[0], truncated.reshape(8, 20), rtol=1e-13, atol=1e-14)
+    assert_allclose(frames[1], truncated.reshape(8, 20), rtol=1e-13, atol=1e-14)
     truncated = np.einsum("ibk,ia->kab", truncated, x)
-    assert_allclose(frames[1], truncated.reshape(10, 8), rtol=1e-13, atol=1e-14)
+    assert_allclose(frames[2], truncated.reshape(10, 8), rtol=1e-13, atol=1e-14)
+    assert_allclose(grams[2], frames[2].T @ frames[2], rtol=1e-13)
 
 
 @pytest.mark.parametrize("ranks", [(10, 10, 10), (10, 3, 10), (10, 10, 3)])
@@ -402,6 +405,89 @@ def test_completed_sweep_frame_captures_all_of_its_operator(case, seed):
         m = projected_operator(t, j + 1, *(s1[i] if i < j else s[i] for i in range(3) if i != j))
         top = float(np.sum(np.linalg.svd(m, compute_uv=False)[:k] ** 2))
         assert abs(fs[j] - top) <= 1e-12 * norm_sq
+
+
+def _frame_matrix(rows, cols, kind, seed=0):
+    """A ``rows x cols`` matrix: Gaussian, or ``U diag(s) V^T`` for a chosen spectrum.
+
+    The spectrum ``s`` is zero, rank-deficient, or graded from 1 down to 1e-6.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":
+        return rng.standard_normal((rows, cols))
+    n = min(rows, cols)
+    s = {
+        "zero": np.zeros(n),
+        "rank-deficient": np.where(np.arange(n) < n // 2, rng.uniform(0.5, 2.0, n), 0.0),
+        "graded": np.logspace(0, -6, n),
+    }[kind]
+    return (random_orthonormal(rng, rows, n) * s) @ random_orthonormal(rng, cols, n).T
+
+
+@st.composite
+def frame_rule_cases(draw):
+    """A matrix from :func:`_frame_matrix` and a rank ``k`` at most its row count."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["gaussian", "zero", "rank-deficient", "graded"]))
+    m = _frame_matrix(rows, cols, kind, draw(st.integers(0, 2**32 - 1)))
+    return m, draw(st.integers(1, rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(frame_rule_cases())
+@example((_frame_matrix(3, 7, "gaussian"), 2))  # wide
+@example((_frame_matrix(5, 5, "gaussian"), 3))  # square
+@example((_frame_matrix(8, 3, "gaussian"), 2))  # tall
+@example((_frame_matrix(8, 2, "gaussian"), 5))  # tall, fewer columns than k
+@example((_frame_matrix(8, 4, "rank-deficient"), 3))
+@example((_frame_matrix(4, 8, "rank-deficient"), 3))
+@example((_frame_matrix(6, 3, "zero"), 4))
+@example((_frame_matrix(3, 6, "zero"), 2))
+@example((_frame_matrix(8, 6, "graded"), 3))  # singular values 1 .. 1e-6
+@example((_frame_matrix(6, 8, "graded"), 4))
+def test_frame_rule_is_orthonormal_and_captures_the_top_energy(case):
+    # Energy, not subspaces, is compared, so ties across k do not matter.
+    m, k = case
+    f = tapprox.bsta._dominant_left_frame(m, k)
+    assert f.shape == (m.shape[0], k)
+    assert np.max(np.abs(f.T @ f - np.eye(k))) <= 1e-12
+    top = float(np.sum(np.linalg.svd(m, compute_uv=False)[:k] ** 2))
+    norm_sq = float(np.sum(m**2))
+    assert abs(float(np.linalg.norm(f.T @ m) ** 2) - top) <= 1e-12 * norm_sq
+    # Given the shape, the short-side Gram matrix and the product, as
+    # _full_mode_frame gives them, the rule returns the same bits.
+    g = m.T @ m if m.shape[0] > m.shape[1] else m @ m.T
+    again = tapprox.bsta._dominant_left_frame(m.shape, k, g, lambda w: m @ w)
+    assert np.array_equal(again, f)
+
+
+@pytest.mark.parametrize("init", ["hosvd", "random"])
+@pytest.mark.parametrize(
+    "dims, ranks, zero",
+    [
+        ((6, 6, 6), (3, 3, 3), False),  # wide 6 x 9 sweep operators
+        ((12, 12, 12), (2, 2, 2), False),  # tall 12 x 4 sweep operators
+        ((30, 3, 3), (5, 1, 2), False),  # mode 1's operator has 2 columns for rank 5
+        ((30, 3, 2), (3, 2, 2), False),  # a compressed long mode
+        ((4, 60, 4), (2, 5, 2), False),  # a tall first-visited mode, not compressed
+        ((6, 2, 2), (2, 2, 2), True),
+    ],
+    ids=["cube", "tall-operator", "fewer-columns", "long-mode", "tall-start", "zero"],
+)
+def test_bsta_takes_no_svd(monkeypatch, dims, ranks, zero, init):
+    # Every frame comes from a short-side Gram matrix's eigh, plus one QR
+    # for a tall matrix: the start, the sweeps, the long-mode compression
+    # and its map back.
+    t = DenseTensor3(np.zeros(dims)) if zero else random_tensor(np.random.default_rng(106), dims)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(np.linalg, "svd", no_svd)
+        res = bsta_solve(t, BstaOptions(target_ranks=ranks, init=init))
+        start = hosvd_init(t, ranks)
+    assert res.subspaces.ambient_dims == start.ambient_dims == dims
 
 
 def _compress(t, j, k):
