@@ -41,7 +41,6 @@ from .tensor_core import (
     _three_positive_ints,
     _tolerance,
     _unfold,
-    fold,
     unfold,
 )
 
@@ -397,40 +396,47 @@ def _compress(t: DenseTensor3, j: int, k: int):
 
     With ``A`` the mode-``j`` unfolding (``m_j x n``, ``n = m_p * m_q``) and
     ``A.T @ A = V diag(lam) V^T`` (:func:`_short_gram`, then ``eigh``,
-    largest first), returns ``(fold(sqrt(lam) V^T), V / sqrt(lam))`` over
-    the kept eigenvalues.  ``A V / sqrt(lam)`` is an orthonormal basis of
-    the kept part of the unfolding's range, up to the Gram matrix's
-    rounding, so a frame ``F`` of the compressed mode maps back as the
-    orthonormal factor of ``A (V / sqrt(lam)) F``: ``m_j x k`` work, and no
-    ``m_j x n`` array.
+    largest first), ``W = A V / sqrt(lam)`` over the kept eigenvalues is a
+    basis of the kept part of the unfolding's range.  It is orthonormal
+    only up to the Gram matrix's rounding, about ``eps * lam_1``, which is
+    ``eps * s_1**2 / s**2`` in a kept direction of singular value ``s``.  So
+    ``W`` is orthonormalised once: with ``W.T @ W = R^T R`` (Cholesky),
+    ``L = W R^{-1}`` is orthonormal to rounding.  ``W.T @ W`` and ``t x_j
+    W^T`` are summed over blocks of ``n`` rows of ``W``, so no ``m_j x n``
+    array is held.  Returns ``(t x_j L^T, V / sqrt(lam) R^{-1})``: the
+    compressed tensor, ``(t x_j W^T) x_j R^{-T}``, and the matrix that maps
+    a frame ``F`` of it back as the orthonormal factor of ``A (V / sqrt(lam)
+    R^{-1}) F = L F``, ``m_j x k`` work.  So the sweeps on the compressed
+    tensor are those on ``t`` to rounding, whatever the conditioning of the
+    kept directions, and what ``t x_j L^T`` leaves out of ``t`` is the part
+    outside ``L``'s range.
 
-    The Gram matrix squares the conditioning: its eigenvalues carry
-    rounding of about ``max(m_j, n) * eps * lam_1`` from the ``m_j``-term
-    sums that form it.  Only the eigenvalues above that are kept, which is
-    the rule of :func:`~.tensor_core.numerical_rank` applied to the squared
-    spectrum: the singular values above ``sqrt(max(m_j, n) * eps) * s_1``.
-    The directions below the cutoff are dropped.  The sweeps do not see
-    them, each holds at most ``max(m_j, n) * eps * |t|**2`` of the squared
-    norm, and the error, computed on ``t``, keeps their part.  A kept
-    direction of singular value ``s`` is resolved only to about
-    ``eps * s_1**2 / s``, and that much of ``t`` can be missing from the
-    compressed tensor.  So the error of a compressed solve may exceed that
-    of the sweeps on ``t`` by up to about ``eps * s_1**2 / s_min`` for the
-    smallest kept ``s_min``: under ``2.2e-11 * s_1`` when ``s_min >= 1e-5 *
-    s_1``, and at worst about ``sqrt(eps / max(m_j, n)) * s_1``.  When ``k``
-    exceeds the kept count, as for a zero or rank-deficient mode, the frame
-    would need dropped directions, so this returns ``(t, None)``: the
-    sweeps run on ``t``.
+    Only the eigenvalues above ``max(m_j, n) * eps * lam_1``, the Gram
+    matrix's rounding, are kept: the rule of
+    :func:`~.tensor_core.numerical_rank` applied to the squared spectrum,
+    the singular values above ``sqrt(max(m_j, n) * eps) * s_1``.  This also
+    keeps ``W.T @ W`` within about ``1 / max(m_j, n)`` of the identity in
+    every entry, so its Cholesky factor exists.  The directions below the
+    cutoff are dropped.  The sweeps do not see them, each holds at most
+    ``max(m_j, n) * eps * |t|**2`` of the squared norm, and the error,
+    computed on ``t``, keeps their part.  When ``k`` exceeds the kept count,
+    as for a zero or rank-deficient mode, the frame would need dropped
+    directions, so this returns ``(t, None)``: the sweeps run on ``t``.
     """
     lam, v = np.linalg.eigh(_short_gram(t.data, j))
     lam, v = lam[::-1], v[:, ::-1]
     kept = _rank_cutoff(lam, (t.dims[j], lam.size))
     if k > kept:
         return t, None
-    root = np.sqrt(lam[:kept])
-    v = v[:, :kept]
-    dims = tuple(kept if i == j else m for i, m in enumerate(t.dims))
-    return fold(root[:, None] * v.T, j + 1, dims), v / root
+    x = v[:, :kept] / np.sqrt(lam[:kept])
+    gram, core, n = 0.0, 0.0, lam.size
+    for lo in range(0, t.dims[j], n):
+        block = t.data[(slice(None),) * j + (slice(lo, lo + n),)]
+        w = _unfolding_times(block, j, x)
+        gram = gram + w.T @ w
+        core = core + _mode_product(block, w.T, j)
+    r_inv = np.linalg.inv(np.linalg.cholesky(gram).T)
+    return DenseTensor3(_mode_product(core, r_inv.T, j)), x @ r_inv
 
 
 def bsta_solve(t: DenseTensor3, opts: BstaOptions) -> BstaResult:
@@ -444,21 +450,21 @@ def bsta_solve(t: DenseTensor3, opts: BstaOptions) -> BstaResult:
 
     When one mode is longer than the product of the other two dims
     (``m_j > m_p * m_q``, and ``k_j <= k_p * k_q``), the sweeps run on the
-    compressed tensor ``t x_j W^T`` of :func:`_compress`: at most
-    ``m_p * m_q`` rows in mode ``j`` instead of ``m_j``, where ``W = A V /
-    sqrt(lam)`` comes from the eigendecomposition ``A^T A = V diag(lam)
-    V^T`` of the mode-``j`` unfolding ``A``'s small Gram matrix.  ``W`` is
-    an orthonormal basis of the unfolding's range, and every projected
-    operator of mode ``j`` has its columns in that range, so its dominant
-    left subspace is ``W`` times the compressed operator's, and the
-    operators of the other two modes do not change.  The objective history
-    is that of the sweeps on ``t`` up to the Gram matrix's accuracy, which
-    :func:`_compress` states together with its eigenvalue cutoff; when
-    ``k_j`` exceeds the kept directions (a zero or rank-deficient mode) the
-    sweeps run on ``t`` itself.  Both starts are taken on the tensor the
-    sweeps run on; the compressed one has ``t``'s mode spectra.  The frame
-    ``F`` of mode ``j`` is mapped back as the orthonormal factor of one QR
-    of ``A (V F / sqrt(lam))``, and the certificate, the Tucker core and the
+    compressed tensor ``t x_j L^T`` of :func:`_compress`: at most
+    ``m_p * m_q`` rows in mode ``j`` instead of ``m_j``, where ``L`` is the
+    basis ``W = A V / sqrt(lam)`` of the mode-``j`` unfolding ``A``'s range,
+    from the eigendecomposition ``A^T A = V diag(lam) V^T`` of its small
+    Gram matrix, orthonormalised by the Cholesky factor ``R`` of ``W^T W``.
+    Every projected operator of mode ``j`` has its columns in that range,
+    so its dominant left subspace is ``L`` times the compressed operator's,
+    and the operators of the other two modes do not change.  The objective
+    history is that of the sweeps on ``t`` to rounding, apart from the
+    directions below :func:`_compress`'s eigenvalue cutoff; when ``k_j``
+    exceeds the kept directions (a zero or rank-deficient mode) the sweeps
+    run on ``t`` itself.  Both starts are taken on the tensor the sweeps run
+    on; the compressed one has ``t``'s mode spectra.  The frame ``F`` of
+    mode ``j`` is mapped back as the orthonormal factor of one QR of ``A (V
+    / sqrt(lam) R^{-1} F)``, and the certificate, the Tucker core and the
     error are computed on the full tensor.
 
     Every frame of the start and of the sweeps comes from the one rule of

@@ -495,9 +495,10 @@ def _compress(t, j, k):
 
     With ``A`` the mode-``j`` unfolding and ``A^T A = V diag(lam) V^T``,
     largest first, the eigenvalues above ``max(A.shape) * eps * lam_1`` are
-    kept.  The tensor is ``fold(sqrt(lam) V^T)``, and a frame ``F`` of it
-    maps back to the orthonormal factor of ``A V diag(lam)^{-1/2} F``.  When
-    fewer than ``k`` are kept, ``t`` is swept as it is: ``(t, None)``.
+    kept.  ``Q`` is the orthonormal factor of ``A V diag(lam)^{-1/2}`` with
+    a positive diagonal in ``R``, by Householder QR.  The tensor is ``t x_j
+    Q^T``, and a frame ``F`` of it maps back to ``Q F``.  When fewer than
+    ``k`` are kept, ``t`` is swept as it is: ``(t, None)``.
     """
     a = unfold(t, j + 1)
     lam, v = np.linalg.eigh(a.T @ a)
@@ -505,11 +506,10 @@ def _compress(t, j, k):
     kept = int(np.sum(lam > max(a.shape) * np.finfo(float).eps * lam[0])) if lam[0] > 0 else 0
     if k > kept:
         return t, None
-    root = np.sqrt(lam[:kept])
+    q, r = np.linalg.qr(a @ (v[:, :kept] / np.sqrt(lam[:kept])))
+    q = q * np.sign(np.diag(r))
     dims = tuple(kept if i == j else m for i, m in enumerate(t.dims))
-    v = v[:, :kept]
-    basis = a @ (v / root)
-    return fold(root[:, None] * v.T, j + 1, dims), lambda f: np.linalg.qr(basis @ f)[0]
+    return fold(q.T @ a, j + 1, dims), lambda f: q @ f
 
 
 def _compressed_case(dims, ranks, j, seed=0):
@@ -668,6 +668,9 @@ def _long(dims, ranks, init="hosvd", zero=False, seed=3):
 # Near a tie: a start taken on t, not on its compression, drifts 1.05e-12 |t|^2.
 @example(_long((29, 3, 3), (1, 2, 1), seed=25))
 @example(_long((29, 3, 3), (1, 2, 1), init="random", seed=25))
+# A 7 x 6 long-mode unfolding with s_6 = 0.0058 s_1: compressed by the Gram
+# matrix alone, the start is 2e-13 off, and the sweeps grow that to 1.6e-12 |t|^2.
+@example(_long((2, 7, 3), (1, 1, 1), init="random", seed=1))
 def test_compressed_sweeps_match_the_sweeps_on_the_full_tensor(case):
     t, ranks, init = case
     res = bsta_solve(t, BstaOptions(target_ranks=ranks, init=init, seed=7, max_sweeps=20))
@@ -756,8 +759,8 @@ def _error_against_the_full_sweeps(t, ranks, j, sweeps=8):
 def test_compression_of_a_degenerate_long_mode_keeps_the_error(case):
     # The solver sweeps the compressed tensor, or t itself when its rank
     # exceeds the kept eigenvalues; the reference sweeps t from the same
-    # start.  Every kept singular value is at least 1e-5 s_1, so the
-    # compression holds t to about eps s_1 / 1e-5 (bsta._compress).
+    # start.  The compression holds t to rounding in the kept directions
+    # (bsta._compress), so the errors agree well inside 1e-10.
     t, ranks, j = case
     res, want = _error_against_the_full_sweeps(t, ranks, j)
     assert abs(res.approx_error - want) <= 1e-10 * hs_norm(t)
@@ -768,16 +771,17 @@ def test_compression_of_a_degenerate_long_mode_keeps_the_error(case):
 
 def test_compression_error_is_bounded_by_the_smallest_kept_singular_value():
     # Mode 1 singular values 1, 1e-6 and 1e-12: the Gram cutoff (25 eps)
-    # keeps two.  The sweeps on t leave out only s_3, an error of 1e-12, but
-    # the Gram resolves s_2's direction only to about eps / 1e-6 = 2.2e-10,
-    # and here 9.7e-11 of t is missing from the compressed tensor: within
-    # the bound _compress states, and past the 1e-10 of better-conditioned
-    # modes.
+    # keeps two.  The sweeps on t leave out only s_3, an error of 1e-12.
+    # The Gram matrix resolves s_2's direction only to about eps / 1e-6 =
+    # 2.2e-10, so the compressed tensor fold(sqrt(lam) V^T) would miss
+    # 9.7e-11 of t.  _compress orthonormalises A V / sqrt(lam) and projects
+    # t onto it, so it misses only the part outside the kept range.
     t, ranks, j = _spectral((25, 1, 3), (2, 1, 2), [1.0, 1e-6, 1e-12], seed=4)
     assert tapprox.bsta._compress(t, j, ranks[j])[0].dims == (2, 1, 3)
     res, want = _error_against_the_full_sweeps(t, ranks, j)
     assert want <= 1.1e-12
     assert res.approx_error - want <= np.finfo(float).eps / 1e-6
+    assert abs(res.approx_error - want) <= 1e-14
 
 
 def test_compression_falls_back_when_the_rank_exceeds_the_kept_directions():
