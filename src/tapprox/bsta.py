@@ -305,20 +305,26 @@ def _unfolding_times(data: np.ndarray, ax: int, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sweep(data: np.ndarray, frames) -> tuple[list[np.ndarray], float, tuple[float, ...]]:
+def _sweep(
+    data: np.ndarray, frames
+) -> tuple[list[np.ndarray], float, tuple[float, ...], tuple[np.ndarray, np.ndarray]]:
     """One alternating sweep on raw ``(m, k)`` frames ``X, Y, Z``.
 
     Each mode's frame becomes the dominant left frame of its projected
     operator, the other two held.  The mode-1 operator is :func:`_operator`
     of ``data``.  The mode-2 and mode-3 operators both start from
     ``t1 = data x_1 X^T`` at the updated ``X``, which is formed once: mode 2
-    takes ``t1 x_3 Z^T`` and mode 3 ``t1 x_2 Y^T`` at the updated ``Y``,
-    the products :func:`_operator` would make, in its order.  So a sweep
-    reads the full-size ``data`` twice.  Returns the new frames
+    takes ``t1 x_3 Z^T`` and mode 3 ``t12 = t1 x_2 Y^T`` at the updated
+    ``Y``, the products :func:`_operator` would make, in its order.  So a
+    sweep reads the full-size ``data`` twice.  Returns the new frames
     (C-contiguous, as :class:`~.subspace.Subspace` stores them, so products
     keep their bits), the given frames' objective ``|X^T M_1|^2`` on the
-    first operator, and the objective after each update; the sweep's gain is
-    the last minus the given frames'.
+    first operator, the objective after each update, and ``(t1, t12)``; the
+    sweep's gain is the last objective minus the given frames'.  ``t1`` is at
+    the returned ``X`` and ``t12`` at the returned ``X`` and ``Y``, so after
+    the last sweep they hold the final frames' mode-2 and mode-3 certificate
+    operators and the Tucker core one small product away
+    (:func:`_finish_from_sweep`).
     """
     x, y, z = frames
     objectives = []
@@ -333,12 +339,17 @@ def _sweep(data: np.ndarray, frames) -> tuple[list[np.ndarray], float, tuple[flo
     x = update(m, x.shape[1])
     t1 = _mode_product(data, x.T, 0)
     y = update(_unfold(_mode_product(t1, z.T, 2), 1), y.shape[1])
-    z = update(_unfold(_mode_product(t1, y.T, 1), 2), z.shape[1])
-    return [x, y, z], before, tuple(objectives)
+    t12 = _mode_product(t1, y.T, 1)
+    z = update(_unfold(t12, 2), z.shape[1])
+    return [x, y, z], before, tuple(objectives), (t1, t12)
 
 
 def verify_critical_point(
-    t: DenseTensor3, s: SubspaceTriple, tol: float = DEFAULT_CRIT_TOL
+    t: DenseTensor3,
+    s: SubspaceTriple,
+    tol: float = DEFAULT_CRIT_TOL,
+    *,
+    _operators: tuple[np.ndarray | None, ...] = (None, None, None),
 ) -> tuple[float, bool]:
     """Invariant-subspace certificate for a candidate solution.
 
@@ -359,12 +370,19 @@ def verify_critical_point(
     scale of ``t``; the scaling is exact, so at scales where the unscaled
     formula is safe it gives the same bits.  A NaN residual (from an
     operator that overflowed) fails the certificate.
+
+    Each ``M`` is :func:`projected_operator` of ``t``, except where the
+    private ``_operators`` holds it: :func:`bsta_solve` passes the mode-2 and
+    mode-3 operators its last sweep on ``t`` formed at the final frames, the
+    same products in the same order (:func:`_finish_from_sweep`), and so the
+    same bits.  Mode 1 is always built from ``t`` here.
     """
     _tolerance(tol, "tol", positive=True)
     _check_triple(t, s)
     rels = []
-    for j in range(3):
-        m = projected_operator(t, j + 1, *(s[k] for k in range(3) if k != j))
+    for j, m in enumerate(_operators):
+        if m is None:
+            m = projected_operator(t, j + 1, *(s[k] for k in range(3) if k != j))
         m = np.ldexp(m, -np.frexp(np.max(np.abs(m)))[1])
         f = s[j].frame
         gf = m @ (m.T @ f)
@@ -373,6 +391,35 @@ def verify_critical_point(
         rels.append(np.linalg.norm(resid) / max(np.linalg.norm(small_gram), _TINY))
     worst = float(np.max(rels))  # np.max keeps a NaN, and NaN <= tol is False
     return worst, worst <= tol
+
+
+def _finish_from_sweep(
+    t: DenseTensor3, s: SubspaceTriple, crit_tol: float, t1: np.ndarray, t12: np.ndarray
+) -> tuple[float, bool, TuckerFactorization]:
+    """Certificate and Tucker core of the final triple ``s`` of sweeps on ``t`` itself.
+
+    ``t1 = t x_1 X^T`` and ``t12 = t1 x_2 Y^T`` are the last sweep's, at the
+    final ``X`` and ``Y`` (:func:`_sweep`).  The certificate's mode-3
+    operator is ``unfold_3(t12)`` and its mode-2 operator ``unfold_2(t13)``,
+    ``t13 = t1 x_3 Z^T``: the products :func:`projected_operator` makes, in
+    its order.  So :func:`verify_critical_point`'s residual keeps its bits,
+    and it reads ``t`` once, for mode 1, instead of three times.  When
+    :func:`~.tensor_core._shrink_order` takes mode 1 first (a cube at equal
+    ranks, say), :func:`~.subspace.coefficient_tensor`'s last product is
+    ``t12 x_3 Z^T`` or ``t13 x_2 Y^T``, whichever its order makes, so the
+    core is that product, with the same bits and no read of ``t``;
+    otherwise it is :func:`~.subspace._frames_tucker` of ``t``.
+    """
+    x, y, z = (sub.frame for sub in s)
+    t13 = _mode_product(t1, z.T, 2)
+    operators = (None, _unfold(t13, 1), _unfold(t12, 2))
+    residual, certified = verify_critical_point(t, s, crit_tol, _operators=operators)
+    order = _shrink_order([sub.dim for sub in s], t.dims)
+    if order[0] != 0:
+        return residual, certified, _frames_tucker(t, s)
+    core = _mode_product(t12, z.T, 2) if order[1] == 1 else _mode_product(t13, y.T, 1)
+    factors = (x.T, y.T, z.T)
+    return residual, certified, TuckerFactorization(DenseTensor3(core, _fresh=True), factors)
 
 
 def _long_mode(dims, ranks) -> int | None:
@@ -448,6 +495,19 @@ def bsta_solve(t: DenseTensor3, opts: BstaOptions) -> BstaResult:
     runs out, then certifies the final triple with :func:`verify_critical_point`.
     :class:`~.subspace.Subspace` validates only the start and final frames.
 
+    When the sweeps ran on ``t`` itself, the finish reuses the last sweep's
+    ``t1 = t x_1 X^T`` and ``t12 = t1 x_2 Y^T``, formed at the final frames
+    (:func:`_finish_from_sweep`): the certificate builds only its mode-1
+    operator from ``t``, and takes ``unfold_2(t1 x_3 Z^T)`` and
+    ``unfold_3(t12)`` as its mode-2 and mode-3 operators.  When the
+    multilinear product visits mode 1 first (a cube at equal ranks, say),
+    the Tucker core is one more small product of those, with the bits of
+    :func:`~.subspace.coefficient_tensor`; otherwise it is formed from ``t``.
+    ``t1`` is released before :func:`~.subspace.distance` forms its
+    projection.  So a 1-sweep solve of a cube at equal ranks makes five
+    full-size mode products: the start's truncation, the sweep's two, the
+    certificate's mode 1 and the error's coefficient tensor.
+
     When one mode is longer than the product of the other two dims
     (``m_j > m_p * m_q``, and ``k_j <= k_p * k_q``), the sweeps run on the
     compressed tensor ``t x_j L^T`` of :func:`_compress`: at most
@@ -464,8 +524,8 @@ def bsta_solve(t: DenseTensor3, opts: BstaOptions) -> BstaResult:
     run on ``t`` itself.  Both starts are taken on the tensor the sweeps run
     on; the compressed one has ``t``'s mode spectra.  The frame ``F`` of
     mode ``j`` is mapped back as the orthonormal factor of one QR of ``A (V
-    / sqrt(lam) R^{-1} F)``, and the certificate, the Tucker core and the
-    error are computed on the full tensor.
+    / sqrt(lam) R^{-1} F)``, and the certificate (all three operators), the
+    Tucker core and the error are computed on the full tensor.
 
     Every frame of the start and of the sweeps comes from the one rule of
     :func:`_dominant_left_frame`, a short-side Gram matrix's ``eigh`` and,
@@ -490,7 +550,7 @@ def bsta_solve(t: DenseTensor3, opts: BstaOptions) -> BstaResult:
     history: list[float] = []
     stop_reason = "max_sweeps"
     for sweeps in range(1, opts.max_sweeps + 1):  # max_sweeps >= 1
-        frames, before, fs = _sweep(work.data, frames)
+        frames, before, fs, formed = _sweep(work.data, frames)
         history.extend(fs)
         if fs[2] - before < gain_floor:
             stop_reason = "gain"
@@ -499,10 +559,15 @@ def bsta_solve(t: DenseTensor3, opts: BstaOptions) -> BstaResult:
     if back is not None:
         frames[j] = np.linalg.qr(_unfolding_times(t.data, j, back @ frames[j]))[0]
     s = SubspaceTriple(*(Subspace(f) for f in frames))
-    residual, certified = verify_critical_point(t, s, opts.crit_tol)
+    if back is None:
+        residual, certified, tucker = _finish_from_sweep(t, s, opts.crit_tol, *formed)
+    else:
+        residual, certified = verify_critical_point(t, s, opts.crit_tol)
+        tucker = _frames_tucker(t, s)
+    del formed  # t x_1 X^T goes before distance forms its projection
     return BstaResult(
         subspaces=s,
-        tucker=_frames_tucker(t, s),
+        tucker=tucker,
         objective_history=history,
         approx_error=distance(t, s),
         sweeps=sweeps,
