@@ -135,9 +135,9 @@ def projected_operator(t: DenseTensor3, mode: int, a: Subspace, b: Subspace) -> 
 
     After its ambient-dims check it is ``_operator``: two
     ``tensor_core._mode_product`` calls, then ``tensor_core._unfold``.  A
-    sweep builds its mode-1 operator so; its mode-2 and mode-3 operators
-    make the same products in the same order, but share the first one
-    (:func:`_sweep`).
+    sweep and the certificate build their mode-1 operators so; their mode-2
+    and mode-3 operators make the same products in the same order, but
+    share the first one (:func:`_sweep`, :func:`verify_critical_point`).
     """
     ax = _check_mode(mode)
     expected = tuple(m for k, m in enumerate(t.dims) if k != ax)
@@ -201,6 +201,7 @@ def random_triple(
     dims: tuple[int, int, int], ranks: tuple[int, int, int], seed=0
 ) -> SubspaceTriple:
     """Seeded random subspace triple (orthonormalized Gaussian frames)."""
+    dims = _three_positive_ints(dims, "dims")
     rng = np.random.default_rng(_seed(seed))
     frames = []
     for m, k in zip(dims, _check_ranks(dims, ranks)):
@@ -321,10 +322,9 @@ def _sweep(
     keep their bits), the given frames' objective ``|X^T M_1|^2`` on the
     first operator, the objective after each update, and ``(t1, t12)``; the
     sweep's gain is the last objective minus the given frames'.  ``t1`` is at
-    the returned ``X`` and ``t12`` at the returned ``X`` and ``Y``, so after
-    the last sweep they hold the final frames' mode-2 and mode-3 certificate
-    operators and the Tucker core one small product away
-    (:func:`_finish_from_sweep`).
+    the returned ``X`` and ``t12`` at the returned ``X`` and ``Y``: after the
+    last sweep on ``t`` they are the products :func:`verify_critical_point`
+    shares between its mode-2 and mode-3 operators (:func:`bsta_solve`).
     """
     x, y, z = frames
     objectives = []
@@ -349,7 +349,7 @@ def verify_critical_point(
     s: SubspaceTriple,
     tol: float = DEFAULT_CRIT_TOL,
     *,
-    _operators: tuple[np.ndarray | None, ...] = (None, None, None),
+    _formed: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[float, bool]:
     """Invariant-subspace certificate for a candidate solution.
 
@@ -371,20 +371,23 @@ def verify_critical_point(
     formula is safe it gives the same bits.  A NaN residual (from an
     operator that overflowed) fails the certificate.
 
-    Each ``M`` is :func:`projected_operator` of ``t``, except where the
-    private ``_operators`` holds it: :func:`bsta_solve` passes the mode-2 and
-    mode-3 operators its last sweep on ``t`` formed at the final frames, the
-    same products in the same order (:func:`_finish_from_sweep`), and so the
-    same bits.  Mode 1 is always built from ``t`` here.
+    Mode 1's ``M`` is :func:`projected_operator` of ``t``.  Modes 2 and 3
+    share ``t1 = t x_1 X^T``: mode 2's ``M`` is ``unfold_2(t1 x_3 Z^T)`` and
+    mode 3's is ``unfold_3(t12)``, ``t12 = t1 x_2 Y^T``.  These are the
+    products :func:`projected_operator` makes, in its order, so every
+    residual has its bits, and the certificate reads ``t`` twice, not three
+    times.  :func:`bsta_solve` hands in ``(t1, t12)`` at the final frames
+    through the private ``_formed``; otherwise they are formed here.
     """
     _tolerance(tol, "tol", positive=True)
     _check_triple(t, s)
+    x, y, z = (sub.frame for sub in s)
+    m1 = projected_operator(t, 1, s.y, s.z)
+    t1, t12 = _formed or _first_products(t.data, x, y)
+    operators = (m1, _unfold(_mode_product(t1, z.T, 2), 1), _unfold(t12, 2))
     rels = []
-    for j, m in enumerate(_operators):
-        if m is None:
-            m = projected_operator(t, j + 1, *(s[k] for k in range(3) if k != j))
+    for f, m in zip((x, y, z), operators):
         m = np.ldexp(m, -np.frexp(np.max(np.abs(m)))[1])
-        f = s[j].frame
         gf = m @ (m.T @ f)
         resid = gf - f @ (f.T @ gf)
         small_gram = m.T @ m if m.shape[0] > m.shape[1] else m @ m.T
@@ -393,33 +396,10 @@ def verify_critical_point(
     return worst, worst <= tol
 
 
-def _finish_from_sweep(
-    t: DenseTensor3, s: SubspaceTriple, crit_tol: float, t1: np.ndarray, t12: np.ndarray
-) -> tuple[float, bool, TuckerFactorization]:
-    """Certificate and Tucker core of the final triple ``s`` of sweeps on ``t`` itself.
-
-    ``t1 = t x_1 X^T`` and ``t12 = t1 x_2 Y^T`` are the last sweep's, at the
-    final ``X`` and ``Y`` (:func:`_sweep`).  The certificate's mode-3
-    operator is ``unfold_3(t12)`` and its mode-2 operator ``unfold_2(t13)``,
-    ``t13 = t1 x_3 Z^T``: the products :func:`projected_operator` makes, in
-    its order.  So :func:`verify_critical_point`'s residual keeps its bits,
-    and it reads ``t`` once, for mode 1, instead of three times.  When
-    :func:`~.tensor_core._shrink_order` takes mode 1 first (a cube at equal
-    ranks, say), :func:`~.subspace.coefficient_tensor`'s last product is
-    ``t12 x_3 Z^T`` or ``t13 x_2 Y^T``, whichever its order makes, so the
-    core is that product, with the same bits and no read of ``t``;
-    otherwise it is :func:`~.subspace._frames_tucker` of ``t``.
-    """
-    x, y, z = (sub.frame for sub in s)
-    t13 = _mode_product(t1, z.T, 2)
-    operators = (None, _unfold(t13, 1), _unfold(t12, 2))
-    residual, certified = verify_critical_point(t, s, crit_tol, _operators=operators)
-    order = _shrink_order([sub.dim for sub in s], t.dims)
-    if order[0] != 0:
-        return residual, certified, _frames_tucker(t, s)
-    core = _mode_product(t12, z.T, 2) if order[1] == 1 else _mode_product(t13, y.T, 1)
-    factors = (x.T, y.T, z.T)
-    return residual, certified, TuckerFactorization(DenseTensor3(core, _fresh=True), factors)
+def _first_products(data: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``t1 = data x_1 X^T`` and ``t12 = t1 x_2 Y^T`` on raw frames."""
+    t1 = _mode_product(data, x.T, 0)
+    return t1, _mode_product(t1, y.T, 1)
 
 
 def _long_mode(dims, ranks) -> int | None:
@@ -495,18 +475,22 @@ def bsta_solve(t: DenseTensor3, opts: BstaOptions) -> BstaResult:
     runs out, then certifies the final triple with :func:`verify_critical_point`.
     :class:`~.subspace.Subspace` validates only the start and final frames.
 
-    When the sweeps ran on ``t`` itself, the finish reuses the last sweep's
-    ``t1 = t x_1 X^T`` and ``t12 = t1 x_2 Y^T``, formed at the final frames
-    (:func:`_finish_from_sweep`): the certificate builds only its mode-1
-    operator from ``t``, and takes ``unfold_2(t1 x_3 Z^T)`` and
-    ``unfold_3(t12)`` as its mode-2 and mode-3 operators.  When the
-    multilinear product visits mode 1 first (a cube at equal ranks, say),
-    the Tucker core is one more small product of those, with the bits of
-    :func:`~.subspace.coefficient_tensor`; otherwise it is formed from ``t``.
-    ``t1`` is released before :func:`~.subspace.distance` forms its
-    projection.  So a 1-sweep solve of a cube at equal ranks makes five
-    full-size mode products: the start's truncation, the sweep's two, the
-    certificate's mode 1 and the error's coefficient tensor.
+    The certificate, the Tucker core and the error are computed on ``t``,
+    and the finish is one for every solve.  It takes ``t1 = t x_1 X^T`` and
+    ``t12 = t1 x_2 Y^T`` at the final frames: the last sweep's when the
+    sweeps ran on ``t``, else formed once from ``t`` at the mapped-back
+    frames.  The certificate builds its mode-1 operator from ``t`` and
+    its mode-2 and mode-3 operators from those (:func:`verify_critical_point`).
+    When the multilinear product visits mode 1 first (a cube at equal
+    ranks, say), the Tucker core is one more small product of them, with
+    the bits of :func:`~.subspace.coefficient_tensor`; otherwise it is
+    formed from ``t``.  ``t1`` is released before
+    :func:`~.subspace.distance` forms its projection.  So a 1-sweep solve of
+    a cube at equal ranks makes five full-size mode products: the start's
+    truncation, the sweep's two, the certificate's mode 1 and the error's
+    coefficient tensor.  On a compressed long mode 1 (70 x 4 x 4 at ranks
+    (2, 2, 2), say) it makes three: ``t1``, the certificate's mode 1 and the
+    error's.
 
     When one mode is longer than the product of the other two dims
     (``m_j > m_p * m_q``, and ``k_j <= k_p * k_q``), the sweeps run on the
@@ -524,8 +508,7 @@ def bsta_solve(t: DenseTensor3, opts: BstaOptions) -> BstaResult:
     run on ``t`` itself.  Both starts are taken on the tensor the sweeps run
     on; the compressed one has ``t``'s mode spectra.  The frame ``F`` of
     mode ``j`` is mapped back as the orthonormal factor of one QR of ``A (V
-    / sqrt(lam) R^{-1} F)``, and the certificate (all three operators), the
-    Tucker core and the error are computed on the full tensor.
+    / sqrt(lam) R^{-1} F)``.
 
     Every frame of the start and of the sweeps comes from the one rule of
     :func:`_dominant_left_frame`, a short-side Gram matrix's ``eigh`` and,
@@ -558,13 +541,19 @@ def bsta_solve(t: DenseTensor3, opts: BstaOptions) -> BstaResult:
 
     if back is not None:
         frames[j] = np.linalg.qr(_unfolding_times(t.data, j, back @ frames[j]))[0]
+        formed = _first_products(t.data, frames[0], frames[1])
     s = SubspaceTriple(*(Subspace(f) for f in frames))
-    if back is None:
-        residual, certified, tucker = _finish_from_sweep(t, s, opts.crit_tol, *formed)
-    else:
-        residual, certified = verify_critical_point(t, s, opts.crit_tol)
+    residual, certified = verify_critical_point(t, s, opts.crit_tol, _formed=formed)
+    x, y, z = (sub.frame for sub in s)
+    t1, t12 = formed
+    order = _shrink_order(ranks, t.dims)
+    if order[0] != 0:
         tucker = _frames_tucker(t, s)
-    del formed  # t x_1 X^T goes before distance forms its projection
+    else:
+        core = t12 if order[1] == 1 else _mode_product(t1, z.T, 2)
+        core = _mode_product(core, s[order[2]].frame.T, order[2])
+        tucker = TuckerFactorization(DenseTensor3(core, _fresh=True), (x.T, y.T, z.T))
+    del formed, t1, t12  # t x_1 X^T goes before distance forms its projection
     return BstaResult(
         subspaces=s,
         tucker=tucker,

@@ -184,7 +184,8 @@ def _check_factors(factors, dims, axis: int, of: str) -> tuple[np.ndarray, np.nd
 
 
 def _check_mode(mode: int) -> int:
-    if mode not in _MODES:
+    """``mode`` (an int by :func:`_as_int`, one of 1, 2, 3) as a 0-based axis."""
+    if (mode := _as_int(mode, "mode")) not in _MODES:
         raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
     return mode - 1
 

@@ -277,6 +277,17 @@ def test_random_triple_is_deterministic_per_seed():
         assert np.array_equal(fa.frame, fb.frame)
 
 
+@pytest.mark.parametrize(
+    "dims", [(5, 5, 5, 5), (5, 5), (5.0, 5, 5)], ids=["four-dims", "two-dims", "float-dim"]
+)
+def test_random_triple_rejects_dims_that_are_not_three_ints(dims):
+    # zip would take the first three of four dims, and two dims or a float
+    # would fail deep inside with a TypeError.
+    with pytest.raises(ValueError, match=r"^dims\b") as exc_info:
+        random_triple(dims, (2, 2, 2))
+    assert "\n" not in str(exc_info.value)
+
+
 @pytest.mark.parametrize("seed", [-1, 2.9, None])
 @pytest.mark.parametrize(
     "call",
@@ -327,13 +338,8 @@ def test_a_sweep_reads_the_full_tensor_twice(monkeypatch):
         assert full == [1, 0] * sweeps
 
 
-def test_a_one_sweep_solve_reads_the_full_tensor_five_times(monkeypatch):
-    # The start's mode-1 truncation (its Gram matrix reads the mode-1
-    # unfolding in place), the sweep's two reads, the certificate's mode-1
-    # operator and distance's coefficient tensor.  The certificate's mode-2
-    # and mode-3 operators and the Tucker core come from the sweep's
-    # t x_1 X^T at the final X, since the start visits mode 1 first.
-    t = random_tensor(np.random.default_rng(106), (9, 9, 9))
+def full_size_products(monkeypatch, t, run):
+    """``run()``'s result and the axes of its mode products on arrays of ``t``'s size."""
     full = []
     product = tapprox.tensor_core._mode_product
 
@@ -344,10 +350,42 @@ def test_a_one_sweep_solve_reads_the_full_tensor_five_times(monkeypatch):
 
     monkeypatch.setattr(tapprox.bsta, "_mode_product", spy)
     monkeypatch.setattr(tapprox.tensor_core, "_mode_product", spy)
+    return run(), full
+
+
+def test_a_one_sweep_solve_reads_the_full_tensor_five_times(monkeypatch):
+    # The start's mode-1 truncation (its Gram matrix reads the mode-1
+    # unfolding in place), the sweep's two reads, the certificate's mode-1
+    # operator and distance's coefficient tensor.  The certificate's mode-2
+    # and mode-3 operators and the Tucker core come from the sweep's
+    # t x_1 X^T at the final X, since the start visits mode 1 first.
+    t = random_tensor(np.random.default_rng(106), (9, 9, 9))
     assert tapprox.tensor_core._shrink_order((3, 3, 3), t.dims)[0] == 0
-    res = bsta_solve(t, BstaOptions(target_ranks=(3, 3, 3), max_sweeps=1))
+    opts = BstaOptions(target_ranks=(3, 3, 3), max_sweeps=1)
+    res, full = full_size_products(monkeypatch, t, lambda: bsta_solve(t, opts))
     assert res.sweeps == 1
     assert full == [0, 1, 0, 1, 0]
+
+
+@pytest.mark.parametrize(
+    "dims, expected",
+    [((70, 4, 4), [0, 1, 0]), ((4, 70, 4), [0, 1, 1, 1]), ((4, 4, 70), [0, 1, 2, 2])],
+    ids=["long-mode-1", "long-mode-2", "long-mode-3"],
+)
+def test_a_one_sweep_long_mode_solve_forms_t_x1_xt_once(monkeypatch, dims, expected):
+    # The sweeps run on the compressed tensor, whose products are not
+    # full-size.  The finish forms t x_1 X^T once at the mapped-back frames
+    # for the certificate's mode-2 and mode-3 operators; mode 1's operator
+    # starts with t x_2 Y^T.  When the multilinear product visits mode 1
+    # first, the Tucker core is a small product of t x_1 X^T; otherwise
+    # coefficient_tensor reads t first in the long mode.  distance's
+    # coefficient tensor is the last read.
+    t = random_tensor(np.random.default_rng(107), dims)
+    assert tapprox.bsta._long_mode(dims, (2, 2, 2)) is not None
+    opts = BstaOptions(target_ranks=(2, 2, 2), max_sweeps=1)
+    res, full = full_size_products(monkeypatch, t, lambda: bsta_solve(t, opts))
+    assert res.sweeps == 1
+    assert full == expected
 
 
 def test_sweep_objectives_never_decrease():
@@ -897,10 +935,10 @@ def test_solve_builds_subspaces_only_at_its_boundary(monkeypatch):
 
 def test_solve_forms_coefficient_tensors_only_at_its_end(monkeypatch):
     # Each sweep measures its own gain from its first operator, so the start
-    # needs no coefficient tensor.  On the cube the end forms one on t, the
-    # projection behind approx_error: the Tucker core comes from the last
-    # sweep.  After sweeps on a compressed long mode it forms at most two:
-    # the Tucker core and that projection.
+    # needs no coefficient tensor.  The end forms one on t, the projection
+    # behind approx_error.  The Tucker core is a small product of
+    # t x_1 X^T at the final frames: the last sweep's on the cube, formed
+    # once after sweeps on the compressed long mode 1.
     contract = tapprox.subspace.coefficient_tensor
     calls = []
 
@@ -915,7 +953,7 @@ def test_solve_forms_coefficient_tensors_only_at_its_end(monkeypatch):
     rng = np.random.default_rng(101)
     for dims, ranks, start, allowed in (
         ((6, 6, 6), (2, 2, 2), "hosvd", {1}),
-        ((30, 3, 3), (3, 2, 2), "random", {0, 1, 2}),
+        ((30, 3, 3), (3, 2, 2), "random", {1}),
     ):
         calls.clear()
         opts = BstaOptions(target_ranks=ranks, init=start, max_sweeps=5, rel_tol=1e-30)
@@ -1056,6 +1094,49 @@ def test_certificate_matches_the_full_gram_formula(case, seed):
     s = random_triple(t.dims, ranks, seed=seed)
     resid, _ = verify_critical_point(t, s)
     assert_allclose(resid, _certificate_with_the_full_gram(t, s), rtol=1e-10, atol=1e-13)
+
+
+def _certificate_from_projected_operators(t, s):
+    """The certificate's arithmetic with every operator built by projected_operator."""
+    rels = []
+    for j in range(3):
+        m = projected_operator(t, j + 1, *(s[k] for k in range(3) if k != j))
+        m = np.ldexp(m, -np.frexp(np.max(np.abs(m)))[1])
+        f = s[j].frame
+        gf = m @ (m.T @ f)
+        resid = gf - f @ (f.T @ gf)
+        small_gram = m.T @ m if m.shape[0] > m.shape[1] else m @ m.T
+        tiny = np.finfo(np.float64).tiny
+        rels.append(np.linalg.norm(resid) / max(np.linalg.norm(small_gram), tiny))
+    return float(np.max(rels))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tensor_and_ranks(), st.integers(0, 2**32 - 1))
+@example(_case((40, 2, 3), (3, 1, 2)), 1)
+@example(_case((30, 5, 1), (4, 2, 1)), 2)
+@example(_case((1, 4, 4), (1, 2, 3)), 3)
+@example(_case((3, 4, 2), (3, 4, 2)), 4)
+@example((DenseTensor3(np.zeros((3, 4, 2))), (2, 2, 1)), 5)
+@example(_case((4, 40, 3), (2, 5, 3)), 6)  # a long mode 2
+def test_certificate_has_the_bits_of_projected_operator(case, seed):
+    # The mode-2 and mode-3 operators share t x_1 X^T, yet each is the
+    # product projected_operator makes, in its order: the residual is the
+    # same float.
+    t, ranks = case
+    s = random_triple(t.dims, ranks, seed=seed)
+    resid = verify_critical_point(t, s)[0]
+    reference = _certificate_from_projected_operators(t, s)
+    assert np.float64(resid).tobytes() == np.float64(reference).tobytes()
+
+
+def test_the_certificate_reads_the_full_tensor_twice(monkeypatch):
+    # The mode-1 operator's t x_2 Y^T, and t x_1 X^T, shared by the mode-2
+    # and mode-3 operators.
+    t = random_tensor(np.random.default_rng(108), (9, 8, 7))
+    s = random_triple(t.dims, (3, 2, 4), seed=1)
+    _, full = full_size_products(monkeypatch, t, lambda: verify_critical_point(t, s))
+    assert full == [1, 0]
 
 
 def test_certificate_memory_is_linear_in_a_tall_dimension():

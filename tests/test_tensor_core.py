@@ -18,6 +18,7 @@ from tapprox import (
     hs_norm,
     multilinear_rank,
     pinv,
+    projected_operator,
     select_indices,
     unfold,
     verify_critical_point,
@@ -243,10 +244,17 @@ def test_unfold_shapes():
 
 
 def test_unfold_invalid_mode():
+    # A float mode equal to an int is refused as every int argument is, not
+    # passed on to die in a reshape with a TypeError.
     t = DenseTensor3(np.zeros((2, 2, 2)))
-    for mode in (0, 4, -1):
-        with pytest.raises(ValueError):
+    for mode in (0, 4, -1, 2.0, np.float64(3.0)):
+        with pytest.raises(ValueError, match=r"^mode\b"):
             unfold(t, mode)
+    with pytest.raises(ValueError, match=r"^mode\b"):
+        fold(np.zeros((2, 4)), 2.0, t.dims)
+    sub = Subspace(np.eye(2, 1))
+    with pytest.raises(ValueError, match=r"^mode\b"):
+        projected_operator(t, np.float64(3.0), sub, sub)
 
 
 @pytest.mark.parametrize("mode", [1, 2, 3])
