@@ -463,7 +463,7 @@ def _compress(t: DenseTensor3, j: int, k: int):
         gram = gram + w.T @ w
         core = core + _mode_product(block, w.T, j)
     r_inv = np.linalg.inv(np.linalg.cholesky(gram).T)
-    return DenseTensor3(_mode_product(core, r_inv.T, j)), x @ r_inv
+    return DenseTensor3(_mode_product(core, r_inv.T, j), _fresh=True), x @ r_inv
 
 
 def bsta_solve(t: DenseTensor3, opts: BstaOptions) -> BstaResult:

@@ -13,7 +13,10 @@ appear anywhere.  ``t3`` is the only format read.  Factor matrices are
 written as ``m2 rows cols`` files, which ``np.loadtxt(path, skiprows=1,
 ndmin=2)`` loads.  The writers put one mode-3 fiber (or matrix row) on
 each line, write each line of a multi-line comment with its own '#', and
-use 17 significant digits, so written files read back bit-exactly.  A bad
+use 17 significant digits, so written files read back bit-exactly.  A
+line whose values are all +0.0 (FLRTA's core is mostly such lines) is
+formatted once per file and reused, with the same bytes; a line holding a
+-0.0, which prints as ``-0``, is always formatted value by value.  A bad
 file fails with one ValueError line that names the file, the line number
 and the first bad token, non-UTF-8 bytes included; comment lines may hold any.
 Each body line is read once: NumPy's C reader parses the body a block of
@@ -188,13 +191,20 @@ def read_tensor_file(path: str) -> DenseTensor3:
 def _write_numeric_file(path: str, header: str, rows: np.ndarray, comments) -> None:
     # One format string per row, filled from one row at a time: converting
     # the whole array to Python floats at once would multiply peak memory.
+    # A row of +0.0 only (every bit zero) is written from one line formatted
+    # once, with the same bytes; a -0.0 prints as "-0", so it never does.
     row_format = " ".join(["%.17g"] * rows.shape[1]) + "\n"
+    zero_line = row_format % ((0.0,) * rows.shape[1])
+    zero_rows = (~rows.view(np.uint64).any(axis=1)).tolist()
     with open(path, "w", encoding="utf-8") as fh:
         for comment in comments:
             for line in str(comment).splitlines() or [""]:
                 fh.write(f"# {line}\n")
         fh.write(header + "\n")
-        fh.writelines(row_format % tuple(row.tolist()) for row in rows)
+        fh.writelines(
+            zero_line if zero else row_format % tuple(row.tolist())
+            for row, zero in zip(rows, zero_rows)
+        )
 
 
 def write_tensor_file(path: str, t: DenseTensor3, comments=()) -> None:

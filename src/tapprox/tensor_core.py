@@ -36,7 +36,8 @@ class DenseTensor3:
     only to make it C-ordered float64) and marks it read-only, after the
     same checks.  These constructions skip the copy: ``reconstruct()``,
     ``coefficient_tensor``, the array ``cli.read_tensor_file`` parses,
-    ``tapprox gen``'s tensor, and FLRTA's sections and cores.  The
+    ``tapprox gen``'s tensor, FLRTA's sections and cores, and BSTA's
+    Tucker core (``bsta_solve``) and compressed long-mode tensor.  The
     finite-entry check runs one chunk at a time, so taking over a C-ordered
     float64 array allocates nothing the size of the tensor.
     """

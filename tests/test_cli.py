@@ -184,6 +184,11 @@ def _finite_tensors(draw):
 @example(DenseTensor3(np.full((1, 1, 1), -0.0)))
 @example(DenseTensor3(np.array(_EDGE_VALUES[:9]).reshape(1, 3, 3)))
 @example(DenseTensor3(np.resize(_EDGE_VALUES, (1, 4, 4))))
+# Rows of only +0.0 are written from one cached line; -0.0 prints as "-0".
+@example(DenseTensor3(np.array([[[0.0, 0.0, 0.0], [1.5, -2.0, 0.1]]])))
+@example(DenseTensor3(np.array([[[-0.0, -0.0, -0.0], [0.0, 0.0, 0.0]]])))
+@example(DenseTensor3(np.array([[[0.0, -0.0, 0.0], [-0.0, 0.0, 0.0]], [[0.0] * 3, [-0.0] * 3]])))
+@example(DenseTensor3(np.array([[[0.0, 5e-324, 0.0], [0.0, 0.0, 0.0]]])))
 def test_file_round_trip_is_bit_exact_and_pins_the_written_digits(tmp_path_factory, t):
     d = tmp_path_factory.mktemp("rt")
     m1, m2, m3 = t.dims
@@ -199,6 +204,25 @@ def test_file_round_trip_is_bit_exact_and_pins_the_written_digits(tmp_path_facto
     expected = [" ".join(f"{v:.17g}" for v in row) for row in rows]
     for name, header in (("t.t3", f"t3 {m1} {m2} {m3}"), ("m.mat", f"m2 {m1 * m2} {m3}")):
         assert (d / name).read_text(encoding="utf-8").splitlines() == [header] + expected
+
+
+def test_writer_holds_one_row_at_a_time(tmp_path):
+    # One row's Python floats and a rows-long mask at a time; a whole-array
+    # tolist() would hold about 4x the tensor's bytes.  The FLRTA core at
+    # sections 10 10 10 is 100^3 whatever the tensor, and 9 in 10 of its
+    # rows are zero.
+    rng = np.random.default_rng(131)
+    small = random_tensor(rng, (12, 12, 12))
+    core = flrta_approx(small, select_indices(small, (10, 10, 10), seed=1)).core
+    path = str(tmp_path / "t.t3")
+    for t in (random_tensor(rng, (60, 60, 60)), core):
+        tracemalloc.start()
+        try:
+            write_tensor_file(path, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * t.data.nbytes, (t.dims, peak / t.data.nbytes)
 
 
 def test_reader_memory_is_linear_in_the_values(tmp_path):
@@ -497,6 +521,18 @@ def test_matrix_file_round_trip(tmp_path):
         assert back.shape == m.shape and back.tobytes() == m.tobytes()
 
 
+def test_matrix_file_of_a_transposed_view_pins_its_zero_rows(tmp_path):
+    # BSTA writes factor.T, a view that is not C-contiguous.
+    view = np.array([[0.0, 1.0, 0.0, -0.0], [0.0, 2.5, 0.0, 0.0], [0.0, 5e-324, 0.0, 0.0]]).T
+    assert not view.flags.c_contiguous
+    path = tmp_path / "m.mat"
+    write_matrix_file(str(path), view)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines == ["m2 4 3"] + [" ".join(f"{v:.17g}" for v in row) for row in view]
+    assert lines[1] == lines[3] == "0 0 0" and lines[4] == "-0 0 0"
+    assert read_matrix(path).tobytes() == np.ascontiguousarray(view).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # gen / info
 
@@ -709,6 +745,14 @@ def test_flrta_command_end_to_end(tmp_path, capsys):
     assert c1.shape == (6, 7) and c2.shape == (4, 8) and c3.shape == (6, 6)
     rec = np.einsum("abc,ai,bj,ck->ijk", core.data, c1, c2, c3)
     assert np.linalg.norm(rec - t.data) <= 1e-7 * hs_norm(t)
+    # The core file is the library's core, one row per line at 17 digits.
+    # Its only nonzeros are the fibers core[j*r + k, i*r + k, :], so
+    # (r - 1) / r of its lines are all zeros.
+    p, q, r = 2, 3, 2
+    rows = flrta_approx(t, select_indices(t, (p, q, r), seed=4)).core.data.reshape(-1, p * q)
+    lines = Path(prefix + ".core.t3").read_text(encoding="utf-8").splitlines()
+    assert lines == ["t3 6 4 6"] + [" ".join(f"{v:.17g}" for v in row) for row in rows]
+    assert lines[1:].count(" ".join(["0"] * (p * q))) * r == (r - 1) * len(rows)
     # selected index sets are recorded in the report
     assert len(rep["i_set"].split(",")) == 2
     assert len(rep["j_set"].split(",")) == 3
