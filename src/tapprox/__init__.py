@@ -7,8 +7,11 @@ Two complementary routes to a low-multilinear-rank picture of a tensor:
 * :mod:`tapprox.flrta` -- fiber sampling: interpolate the tensor from a
   few of its sections, no optimization involved.
 
-Both return a :class:`TuckerFactorization`.  :mod:`tapprox.tensor_core`
-holds the tensor type, the multilinear product, unfoldings, the norm and ranks;
+Each is one solve: ``bsta_solve(t, BstaOptions(...))`` and
+``flrta_solve(t, FlrtaOptions(...))`` return a result whose ``tucker`` is a
+:class:`TuckerFactorization` and whose ``approx_error`` is the norm of
+``t - tucker.reconstruct()``.  :mod:`tapprox.tensor_core` holds the tensor
+type, the multilinear product, unfoldings, the norm and ranks;
 :mod:`tapprox.subspace` holds frames, projections and distances.  The
 ``tapprox`` command wraps everything for files on disk.
 """
@@ -22,10 +25,13 @@ from .bsta import (
     verify_critical_point,
 )
 from .flrta import (
+    FlrtaOptions,
+    FlrtaResult,
     IndexSelection,
     fit_core_cross,
     fit_core_full,
     flrta_approx,
+    flrta_solve,
     pinv,
     sections,
     select_indices,
@@ -53,6 +59,8 @@ __all__ = [
     "BstaOptions",
     "BstaResult",
     "DenseTensor3",
+    "FlrtaOptions",
+    "FlrtaResult",
     "IndexSelection",
     "Subspace",
     "SubspaceTriple",
@@ -63,6 +71,7 @@ __all__ = [
     "fit_core_cross",
     "fit_core_full",
     "flrta_approx",
+    "flrta_solve",
     "fold",
     "hosvd_init",
     "hs_norm",

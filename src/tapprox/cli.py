@@ -25,7 +25,9 @@ lines at a time, and a block it refuses is read token by token with
 
 All reports are deterministic given flags, seeds and input files, on the
 same NumPy/BLAS build and thread count (BLAS results change in their last
-bits with it); measured wall time goes to stderr only, never into a report.
+bits with it); measured wall time never goes into a report: ``bsta`` and
+``flrta`` print it to stderr, and ``bench`` prints it in its table's
+``wall_s`` column.
 """
 from __future__ import annotations
 
@@ -37,22 +39,18 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bsta import BstaOptions, bsta_solve
-from .flrta import DEFAULT_TRIALS, flrta_approx, select_indices
+from .flrta import FlrtaOptions, flrta_solve
 from .tensor_core import (
     DenseTensor3,
-    TuckerFactorization,
     _all_finite,
     _check_ranks,
     _checked_norm,
     _float_array,
     _multilinear,
-    _positive_int,
-    _residual_norm,
     _seed,
     _three_positive_ints,
     _tolerance,
@@ -301,22 +299,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-@dataclass
-class Solution:
-    """One method's result, as the ``bsta``, ``flrta`` and ``bench`` commands use it.
-
-    ``head`` holds the method's report entries before the shared
-    ``error_abs ... storage_ratio`` block and ``tail`` those after it;
-    ``work`` is the effort column of the ``bench`` table.
-    """
-
-    tucker: TuckerFactorization
-    error: float
-    head: list[tuple[str, str]]
-    tail: list[tuple[str, str]]
-    work: str
-
-
 def _prepare_bsta(ranks, seed, args):
     opts = BstaOptions(
         target_ranks=ranks,
@@ -327,7 +309,7 @@ def _prepare_bsta(ranks, seed, args):
         crit_tol=args.crit_tol,
     )
 
-    def solve(t, norm) -> Solution:
+    def solve(t, norm):
         result = bsta_solve(t, opts)
         head = [
             ("target_ranks", _fmt_dims(opts.target_ranks)),
@@ -344,36 +326,24 @@ def _prepare_bsta(ranks, seed, args):
             ("critical_point_residual", _fmt_float(result.critical_point_residual)),
         ]
         tail = [("objective_history", _fmt_floats(result.objective_history))]
-        return Solution(result.tucker, result.approx_error, head, tail, f"{result.sweeps} sweeps")
+        return result, head, tail, f"{result.sweeps} sweeps"
 
     return solve
 
 
 def _prepare_flrta(sizes, seed, args):
-    # The rules select_indices and flrta_approx apply to the arguments alone.
-    _three_positive_ints(sizes, "section sizes")
-    _positive_int(args.trials, "trials")
-    if args.pinv_tol is not None:
-        _tolerance(args.pinv_tol, "rank tolerance")
+    opts = FlrtaOptions(sizes, trials=args.trials, seed=seed, pinv_tol=args.pinv_tol)
 
-    def solve(t, norm) -> Solution:
-        sel = select_indices(t, sizes, trials=args.trials, seed=seed)
-        fac = flrta_approx(t, sel, pinv_tol=args.pinv_tol)
-        error = _residual_norm(t.data, fac.reconstruct().data)
-        if error >= norm > 0.0:
-            warnings.warn(
-                f"FLRTA error is {error / norm:.3g} times the tensor's norm at section "
-                f"sizes {tuple(sizes)}, no better than the zero tensor; try larger sections",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+    def solve(t, norm):
+        result = flrta_solve(t, opts)
+        sel = result.selection
         conds = sel.chosen_conditions
         head = [
-            ("section_sizes", _fmt_dims(sizes)),
-            ("trials", str(args.trials)),
-            ("seed", str(seed)),
-            ("pinv_tol", "auto" if args.pinv_tol is None else _fmt_float(args.pinv_tol)),
-            ("degenerate", _fmt_bool(math.isinf(conds.worst))),
+            ("section_sizes", _fmt_dims(opts.section_sizes)),
+            ("trials", str(opts.trials)),
+            ("seed", str(opts.seed)),
+            ("pinv_tol", "auto" if opts.pinv_tol is None else _fmt_float(opts.pinv_tol)),
+            ("degenerate", _fmt_bool(result.degenerate)),
             ("i_set", _fmt_ints(sel.i_set)),
             ("j_set", _fmt_ints(sel.j_set)),
             ("k_set", _fmt_ints(sel.k_set)),
@@ -381,7 +351,7 @@ def _prepare_flrta(sizes, seed, args):
             ("cond_slices", _fmt_floats(conds.cond_slices)),
             ("hs_norm", _fmt_float(norm)),
         ]
-        return Solution(fac, error, head, [], f"{args.trials} trials")
+        return result, head, [], f"{opts.trials} trials"
 
     return solve
 
@@ -391,9 +361,13 @@ _SEED_FLAG = ("--seed", {"type": int, "default": None})
 #: Per method: help summary, what its factor files hold, its flags (in
 #: --help order), what its errors call the ranks, the factor-file suffixes,
 #: whether the factors are written transposed, and ``prepare(ranks, seed,
-#: args)``, which applies every argument rule before the tensor is read and
-#: returns the solve step ``solve(t, norm) -> Solution``.  BSTA writes its
-#: frames (m x k); FLRTA writes its sections as factors (k x m).
+#: args)``, which builds the method's options (so every argument rule runs
+#: before the tensor is read) and returns the solve step ``solve(t, norm) ->
+#: (result, head, tail, work)``: the solver's result, with ``tucker`` and
+#: ``approx_error``; the method's report entries before the shared
+#: ``error_abs ... storage_ratio`` block and after it; and the effort column
+#: of the ``bench`` table.  BSTA writes its frames (m x k); FLRTA writes its
+#: sections as factors (k x m).
 _METHODS = {
     "bsta": ("best subspace approximation by alternating relaxation", "frames", [
         ("--max-sweeps", {"type": int, "default": BstaOptions.max_sweeps}),
@@ -403,9 +377,9 @@ _METHODS = {
         ("--crit-tol", {"type": float, "default": BstaOptions.crit_tol}),
     ], "target ranks", (".x.mat", ".y.mat", ".z.mat"), True, _prepare_bsta),
     "flrta": ("fiber-sampling low-rank approximation", "factors", [
-        ("--trials", {"type": int, "default": DEFAULT_TRIALS}),
+        ("--trials", {"type": int, "default": FlrtaOptions.trials}),
         _SEED_FLAG,
-        ("--pinv-tol", {"type": float, "default": None}),
+        ("--pinv-tol", {"type": float, "default": FlrtaOptions.pinv_tol}),
     ], "section sizes", (".c1.mat", ".c2.mat", ".c3.mat"), False, _prepare_flrta),
 }
 
@@ -415,7 +389,7 @@ def _run(args: argparse.Namespace, rows):
 
     Checks every option, then each row's ranks against the header's dims as
     its solver would, then reads the body once.  Returns the tensor and one
-    ``(Solution, relative error, wall seconds)`` per row.
+    ``(result, head, tail, work, relative error, wall seconds)`` per row.
     """
     seed = _resolve_seed(args.seed)
     solves = [_METHODS[method][-1](ranks, seed, args) for method, ranks in rows]
@@ -429,9 +403,9 @@ def _run(args: argparse.Namespace, rows):
     runs = []
     for solve in solves:
         start = time.perf_counter()
-        sol = solve(t, norm)
+        result, *entries = solve(t, norm)
         wall = time.perf_counter() - start
-        runs.append((sol, sol.error / norm if norm > 0.0 else 0.0, wall))
+        runs.append((result, *entries, result.approx_error / norm if norm > 0.0 else 0.0, wall))
     return t, runs
 
 
@@ -450,23 +424,23 @@ def cmd_solve(args: argparse.Namespace) -> int:
         # samefile sees through symlinks and hard links.
         if os.path.exists(out) and os.path.exists(args.file) and os.path.samefile(out, args.file):
             raise ValueError(f"output {out!r} would overwrite the input file {args.file!r}")
-    t, [(sol, rel, wall)] = _run(args, [(args.command, (args.p, args.q, args.r))])
+    t, [(result, head, tail, _, rel, wall)] = _run(args, [(args.command, (args.p, args.q, args.r))])
 
-    for suffix, factor in zip(suffixes, sol.tucker.factors):
+    for suffix, factor in zip(suffixes, result.tucker.factors):
         write_matrix_file(prefix + suffix, factor.T if transposed else factor)
-    write_tensor_file(prefix + ".core.t3", sol.tucker.core)
+    write_tensor_file(prefix + ".core.t3", result.tucker.core)
 
-    stored = sol.tucker.storage_count()
+    stored = result.tucker.storage_count()
     report = [
         ("command", args.command),
         ("dims", _fmt_dims(t.dims)),
-        *sol.head,
-        ("error_abs", _fmt_float(sol.error)),
+        *head,
+        ("error_abs", _fmt_float(result.approx_error)),
         ("error_rel", _fmt_float(rel)),
         ("storage_dense", str(t.size)),
         ("storage_factorized", str(stored)),
         ("storage_ratio", _fmt_float(stored / t.size)),
-        *sol.tail,
+        *tail,
     ]
     text = _report_text(report)
     sys.stdout.write(text)
@@ -486,12 +460,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
         f"{'method':<8}{'ranks':<12}{'rel_error':<18}{'degenerate':<12}{'work':<14}"
         f"{'storage':<12}{'wall_s':<10}"
     )
-    for (method, ranks), (sol, rel, wall) in zip(rows, runs):
+    for (method, ranks), (result, head, _, work, rel, wall) in zip(rows, runs):
         # FLRTA's report entry; BSTA selects no indices, so its rows read "-".
-        degenerate = dict(sol.head).get("degenerate", "-")
-        ratio = sol.tucker.storage_count() / t.size
+        degenerate = dict(head).get("degenerate", "-")
+        ratio = result.tucker.storage_count() / t.size
         print(
-            f"{method:<8}{_fmt_dims(ranks):<12}{rel:<18.9e}{degenerate:<12}{sol.work:<14}"
+            f"{method:<8}{_fmt_dims(ranks):<12}{rel:<18.9e}{degenerate:<12}{work:<14}"
             f"{ratio:<12.6f}{wall:<10.3f}"
         )
     return 0

@@ -8,12 +8,14 @@ Each mode-3 slice is replaced by its cross approximation through the
 ``(I, J)`` block, and the slices themselves are interpolated through the
 ``K`` columns of the doubly-indexed unfolding.  The result assembles
 into an explicit Tucker factorization whose storage is governed by the
-section sizes rather than the full tensor.
+section sizes rather than the full tensor.  :func:`flrta_solve` runs the
+whole route, selection to error, as :func:`~.bsta.bsta_solve` runs BSTA's.
 
 Index sets are 0-based throughout, like all Python indexing.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -30,9 +32,12 @@ from .tensor_core import (
     _multilinear,
     _positive_int,
     _rank_cutoff,
+    _residual_norm,
     _seed,
     _three_positive_ints,
+    _tolerance,
     _unfold,
+    hs_norm,
 )
 
 DEFAULT_TRIALS = 20
@@ -156,6 +161,7 @@ def slice_cross(t: DenseTensor3, sel: IndexSelection, k: int) -> np.ndarray:
     ``F = t[:, :, k]``; exact whenever ``rank(F[I, J]) == rank(F)``.
     """
     _check_selection(t, sel)
+    k = _as_int(k, "slice index")
     if k not in sel.k_set:
         raise ValueError(f"slice index {k} is not in k_set {sel.k_set}")
     f = t.data[:, :, k]
@@ -251,6 +257,80 @@ def select_indices(
         return selection
     warnings.warn(message, RuntimeWarning, stacklevel=2)
     return selection
+
+
+@dataclass(frozen=True)
+class FlrtaOptions:
+    """Knobs for :func:`flrta_solve`.
+
+    Parameters
+    ----------
+    section_sizes : (p, q, r)
+        Sizes of the index sets ``I``, ``J``, ``K``.
+    trials : int
+        Random index triples :func:`select_indices` scores.
+    seed : int
+        Seed of the index search; a non-negative int.
+    pinv_tol : float or None
+        Relative cutoff of every cross pinv (see :func:`pinv`); ``None``
+        means ``pinv``'s default.
+    """
+
+    section_sizes: tuple[int, int, int]
+    trials: int = DEFAULT_TRIALS
+    seed: int = 0
+    pinv_tol: float | None = None
+
+    def __post_init__(self) -> None:
+        sizes = _three_positive_ints(self.section_sizes, "section sizes")
+        object.__setattr__(self, "section_sizes", sizes)
+        object.__setattr__(self, "trials", _positive_int(self.trials, "trials"))
+        object.__setattr__(self, "seed", _seed(self.seed))
+        if self.pinv_tol is not None:
+            _tolerance(self.pinv_tol, "rank tolerance")
+
+
+@dataclass
+class FlrtaResult:
+    """Outcome of :func:`flrta_solve`.
+
+    ``selection`` is :func:`select_indices`' pick, its ``cond_report``
+    attached; ``tucker`` is :func:`flrta_approx` on it; ``approx_error`` is
+    the residual norm ``|t - tucker.reconstruct()|``.
+    """
+
+    selection: IndexSelection
+    tucker: TuckerFactorization
+    approx_error: float
+
+    @property
+    def degenerate(self) -> bool:
+        """Every sampling trial was singular, the chosen one included."""
+        return math.isinf(self.selection.chosen_conditions.worst)
+
+
+def flrta_solve(t: DenseTensor3, opts: FlrtaOptions) -> FlrtaResult:
+    """Cross approximation of ``t``: :func:`select_indices`, then :func:`flrta_approx`.
+
+    The error is the chunked residual of the reconstruction, the rule
+    BSTA's :func:`~.subspace.distance` uses.  Besides the warnings of
+    :func:`select_indices`, a ``RuntimeWarning`` says when the error is at
+    least the norm of a nonzero ``t``: the zero tensor would be as close,
+    as the pseudo-skeleton amplifies noise at sections of the rank.
+    """
+    sizes = opts.section_sizes
+    selection = select_indices(t, sizes, trials=opts.trials, seed=opts.seed)
+    tucker = flrta_approx(t, selection, pinv_tol=opts.pinv_tol)
+    error = _residual_norm(t.data, tucker.reconstruct().data)
+    norm = hs_norm(t)
+    if error >= norm > 0.0:
+        warnings.warn(
+            f"FLRTA error is {error / norm:.3g} times the tensor's norm at section "
+            f"sizes {sizes}, no better than the zero tensor; try larger sections",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return FlrtaResult(selection, tucker, error)
 
 
 def fit_core_full(t: DenseTensor3, factors) -> DenseTensor3:

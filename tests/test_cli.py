@@ -865,7 +865,7 @@ def test_library_warning_prints_as_one_line(tmp_path, capsys, monkeypatch, comma
             warnings.simplefilter("ignore", RuntimeWarning)
             return select_indices(*args, **kwargs)
 
-    monkeypatch.setattr("tapprox.cli.select_indices", quiet_select)
+    monkeypatch.setattr("tapprox.flrta.select_indices", quiet_select)
     rc, quiet_out, quiet_err = run_cli(capsys, argv)
     assert rc == 0 and "warning" not in quiet_err
     if command == "flrta":
@@ -1051,7 +1051,7 @@ def test_missing_output_directory_fails_before_the_solve(tmp_path, capsys, monke
         raise AssertionError("solved before the output directory was checked")
 
     monkeypatch.setattr("tapprox.cli.bsta_solve", never)
-    monkeypatch.setattr("tapprox.cli.select_indices", never)
+    monkeypatch.setattr("tapprox.flrta.select_indices", never)
     prefix = str(tmp_path / "missing" / "o")
     rc, out, err = run_cli(capsys, [method, f, "2", "2", "2", prefix])
     assert rc == 1 and out == ""
@@ -1145,7 +1145,7 @@ def test_bench_checks_every_row_before_it_solves_one(tmp_path, capsys, monkeypat
         raise AssertionError("solved a row before every row was checked")
 
     monkeypatch.setattr("tapprox.cli.bsta_solve", never)
-    monkeypatch.setattr("tapprox.cli.select_indices", never)
+    monkeypatch.setattr("tapprox.flrta.select_indices", never)
     rc, out, err = run_cli(capsys, ["bench", f, "2,2,2", "4,2,2"])
     assert (rc, out) == (1, "")
     assert err == "error: target ranks (4, 2, 2) out of range for dims (3, 3, 3)\n"

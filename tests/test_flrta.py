@@ -3,29 +3,33 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from tapprox import (
     DenseTensor3,
+    FlrtaOptions,
     IndexSelection,
     TuckerFactorization,
     coefficient_tensor,
     fit_core_cross,
     fit_core_full,
     flrta_approx,
+    flrta_solve,
     hs_norm,
     pinv,
     sections,
     select_indices,
     slice_cross,
 )
+from tapprox.cli import DEFAULT_SEED, build_parser, main, read_tensor_file
 from tapprox.flrta import RankDeficientDesignWarning, TrialConditions
 from tapprox.subspace import SubspaceTriple, Subspace
 from tapprox.tensor_core import numerical_rank
 
 from helpers import random_orthonormal, random_tensor, tucker_tensor
+from test_cli import _BAD_OPTIONS
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +154,12 @@ def test_slice_cross_is_exact_on_matching_rank():
 def test_slice_cross_requires_selected_slice():
     t = DenseTensor3(np.zeros((3, 3, 3)))
     sel = IndexSelection(t.dims, (0,), (0,), (1,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^slice index 0 is not in k_set \(1,\)$"):
         slice_cross(t, sel, 0)
+    # A float index is refused as an int, not used to index NumPy.
+    with pytest.raises(ValueError, match=r"^slice index: 1\.0 is not an int$"):
+        slice_cross(t, sel, 1.0)
+    assert np.array_equal(slice_cross(t, sel, np.int64(1)), np.zeros((3, 3)))
 
 
 def test_slice_cross_of_zero_slice_is_zero():
@@ -429,6 +437,78 @@ def test_flrta_core_holds_the_pinv_blocks_times_the_interpolation_rows(case, see
             for i in range(p):
                 expected[j * r + k, i * r + k, :] = pk[j, i] * w[k, :]
     assert np.array_equal(flrta_approx(t, sel).core.data, expected)
+
+
+# ---------------------------------------------------------------------------
+# flrta_solve
+
+def _messages(record) -> list[str]:
+    return [str(w.message) for w in record]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    _selection_cases(), st.integers(1, 4), st.integers(0, 2**16), st.sampled_from([None, 1e-9, 0.3])
+)
+@example((random_tensor(np.random.default_rng(5), (1, 4, 4)), (1, 2, 3)), 3, 1, None)
+@example((random_tensor(np.random.default_rng(6), (3, 4, 2)), (3, 4, 2)), 2, 0, 0.3)
+@example((DenseTensor3(np.zeros((4, 4, 4))), (2, 2, 2)), 4, 0, None)
+def test_flrta_solve_is_select_indices_then_flrta_approx(case, trials, seed, pinv_tol):
+    t, sizes = case
+    with warnings.catch_warnings(record=True) as selected:
+        warnings.simplefilter("always")
+        sel = select_indices(t, sizes, trials=trials, seed=seed)
+    fac = flrta_approx(t, sel, pinv_tol=pinv_tol)
+    with warnings.catch_warnings(record=True) as solved:
+        warnings.simplefilter("always")
+        res = flrta_solve(t, FlrtaOptions(sizes, trials=trials, seed=seed, pinv_tol=pinv_tol))
+
+    assert res.selection == sel
+    assert np.array_equal(res.tucker.core.data, fac.core.data)
+    assert all(np.array_equal(a, b) for a, b in zip(res.tucker.factors, fac.factors))
+    norm = hs_norm(t)
+    want = np.linalg.norm(t.data - fac.reconstruct().data)
+    assert abs(res.approx_error - want) <= 1e-14 * norm
+    assert res.degenerate == bool(np.isinf(sel.chosen_conditions.worst))
+    # select_indices' warnings, then one more exactly when the error reaches the norm.
+    extra = _messages(solved)[len(selected):]
+    assert _messages(solved)[: len(selected)] == _messages(selected)
+    assert len(extra) == (res.approx_error >= norm > 0.0)
+    assert all(m.startswith("FLRTA error is ") for m in extra)
+
+
+def test_flrta_solve_warns_when_its_error_reaches_the_norm(tmp_path):
+    # The README's example: a noisy rank-10 30^3 tensor at sections of its rank.
+    path = str(tmp_path / "t.t3")
+    argv = ["gen", path, "--dims", "30,30,30", "--mlrank", "10,10,10", "--noise", "1e-3"]
+    assert main(argv + ["--seed", "1"]) == 0
+    t = read_tensor_file(path)
+    message = (
+        r"^FLRTA error is 1\.31 times the tensor's norm at section sizes \(10, 10, 10\), "
+        r"no better than the zero tensor; try larger sections$"
+    )
+    with pytest.warns(RuntimeWarning, match=message) as record:
+        res = flrta_solve(t, FlrtaOptions((10, 10, 10), seed=DEFAULT_SEED))
+    assert len(record) == 1
+    assert round(res.approx_error / hs_norm(t), 2) == 1.31
+
+    # An exact cross warns of nothing (any warning is an error here).
+    exact = tucker_tensor(np.random.default_rng(0), (12, 12, 12), (2, 2, 2))
+    res = flrta_solve(exact, FlrtaOptions((2, 2, 2)))
+    assert res.approx_error <= 1e-14 * hs_norm(exact)
+    assert not res.degenerate
+
+
+@pytest.mark.parametrize(
+    "command, ranks, flags, message",
+    [row for row in _BAD_OPTIONS if row.id.startswith("flrta-")],
+)
+def test_flrta_options_refuse_what_the_cli_refuses(command, ranks, flags, message):
+    # The CLI's bad options, read as its parser reads them, refused with its one line.
+    args = build_parser().parse_args([command, "t.t3", *ranks.split(","), "o", *flags])
+    with pytest.raises(ValueError) as exc_info:
+        FlrtaOptions((args.p, args.q, args.r), trials=args.trials, pinv_tol=args.pinv_tol)
+    assert str(exc_info.value) == message
 
 
 # ---------------------------------------------------------------------------
