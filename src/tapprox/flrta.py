@@ -214,6 +214,8 @@ def select_indices(
     ranks: tuple[int, int, int],
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
+    *,
+    _stacklevel: int = 2,
 ) -> IndexSelection:
     """Pick index sets of the given sizes by seeded random search.
 
@@ -225,7 +227,9 @@ def select_indices(
     deterministic function of the tensor, sizes, trials and seed.
 
     A ``RuntimeWarning`` says when every trial is singular (such a pick can
-    still be exact), or else when the best one is poorly conditioned.
+    still be exact), or else when the best one is poorly conditioned.  It
+    names the caller's line; :func:`flrta_solve` passes the private
+    ``_stacklevel=3`` so that it names the line that called the solve.
     """
     _checked_norm(t)
     l1, l2, l3 = t.dims
@@ -255,7 +259,7 @@ def select_indices(
         message = f"best selection is poorly conditioned (worst condition number {best.worst:.3e})"
     else:
         return selection
-    warnings.warn(message, RuntimeWarning, stacklevel=2)
+    warnings.warn(message, RuntimeWarning, stacklevel=_stacklevel)
     return selection
 
 
@@ -319,7 +323,7 @@ def flrta_solve(t: DenseTensor3, opts: FlrtaOptions) -> FlrtaResult:
     as the pseudo-skeleton amplifies noise at sections of the rank.
     """
     sizes = opts.section_sizes
-    selection = select_indices(t, sizes, trials=opts.trials, seed=opts.seed)
+    selection = select_indices(t, sizes, trials=opts.trials, seed=opts.seed, _stacklevel=3)
     tucker = flrta_approx(t, selection, pinv_tol=opts.pinv_tol)
     error = _residual_norm(t.data, tucker.reconstruct().data)
     norm = hs_norm(t)

@@ -1,8 +1,10 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -165,6 +167,21 @@ def test_multi_line_comments_round_trip(tmp_path):
     assert lines[:6] == ["# run 1", "# noise 0.1", "# single", "# crlf", "# line", "# "]
 
 
+@contextlib.contextmanager
+def _reader_path(parallel: bool):
+    """Force the two-process body read on (wherever the OS can fork) or off.
+
+    A body then splits as soon as it has more than one block of lines,
+    whatever its size and the host's CPU count.
+    """
+    with mock.patch.object(cli, "_PARALLEL_MIN_BYTES", 0 if parallel else math.inf), \
+            mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True):
+        yield
+
+
+_BOTH_PATHS = (False, True)
+
+
 _EDGE_VALUES = [
     -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310,
     2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
@@ -195,10 +212,14 @@ def test_file_round_trip_is_bit_exact_and_pins_the_written_digits(tmp_path_facto
     rows = t.data.reshape(m1 * m2, m3)
     write_tensor_file(str(d / "t.t3"), t)
     write_matrix_file(str(d / "m.mat"), rows)
-    back_t = read_tensor_file(str(d / "t.t3"))
     back_m = read_matrix(d / "m.mat")
-    assert back_t.dims == t.dims
-    assert back_t.data.tobytes() == t.data.tobytes()
+    for parallel in _BOTH_PATHS:
+        # On the forced path, one-line blocks let these few lines split.
+        block = 1 if parallel else cli._BLOCK_LINES
+        with _reader_path(parallel), mock.patch.object(cli, "_BLOCK_LINES", block):
+            back_t = read_tensor_file(str(d / "t.t3"))
+        assert back_t.dims == t.dims
+        assert back_t.data.tobytes() == t.data.tobytes()
     assert back_m.shape == rows.shape
     assert back_m.tobytes() == np.ascontiguousarray(rows).tobytes()
     expected = [" ".join(f"{v:.17g}" for v in row) for row in rows]
@@ -229,13 +250,15 @@ def test_reader_memory_is_linear_in_the_values(tmp_path):
     t = random_tensor(np.random.default_rng(129), (60, 60, 60))
     path = str(tmp_path / "t.t3")
     write_tensor_file(path, t)
-    tracemalloc.start()
-    try:
-        read_tensor_file(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * t.data.nbytes
+    for parallel in _BOTH_PATHS:
+        tracemalloc.start()
+        try:
+            with _reader_path(parallel):
+                read_tensor_file(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * t.data.nbytes, parallel
 
 
 def _read_outcome(path):
@@ -404,16 +427,17 @@ def test_equal_rows_without_interior_comments_skip_the_line_reader(tmp_path, con
 def test_reader_falls_back_to_the_line_reader(tmp_path, content, expected, refused):
     path = tmp_path / "t.t3"
     path.write_bytes(content.encode("utf-8"))
-    with _spy_on_reader() as spy:
-        if isinstance(expected, str):
-            with pytest.raises(ValueError) as err:
-                read_tensor_file(str(path))
-            assert str(err.value) == f"{path}: {expected}"
-        else:
-            assert read_tensor_file(str(path)).data.ravel().tolist() == expected
-    # The body is one block: float() reads its tokens only if the C reader
-    # refused it, or its values were not finite or ran past the count.
-    assert bool(spy.tokens) == refused
+    for parallel in _BOTH_PATHS:
+        with _reader_path(parallel), _spy_on_reader() as spy:
+            if isinstance(expected, str):
+                with pytest.raises(ValueError) as err:
+                    read_tensor_file(str(path))
+                assert str(err.value) == f"{path}: {expected}"
+            else:
+                assert read_tensor_file(str(path)).data.ravel().tolist() == expected
+        # The body is one block: float() reads its tokens only if the C reader
+        # refused it, or its values were not finite or ran past the count.
+        assert bool(spy.tokens) == refused
 
 
 _ODD_LINES = ["# note", "", " \t", "x", "1 x", "1e400", "nan 1", "1_0", "１ 2"]
@@ -455,11 +479,13 @@ def test_blocks_of_any_length_read_as_the_line_reader_does(tmp_path_factory, tex
 def test_bad_token_after_an_accepted_block_names_its_line(tmp_path):
     path = tmp_path / "t.t3"
     path.write_text("# head\nt3 1 1 6\n1\n2\n3\n4 x\n5\n", encoding="utf-8")
-    with mock.patch.object(cli, "_BLOCK_LINES", 2), _spy_on_reader() as spy:
-        with pytest.raises(ValueError) as err:
-            read_tensor_file(str(path))
-    assert str(err.value) == f"{path}: line 6: could not parse 'x' as a real number"
-    assert spy.refused == [False, True] and spy.tokens == ["3", "4", "x"]
+    for parallel in _BOTH_PATHS:
+        with _reader_path(parallel), mock.patch.object(cli, "_BLOCK_LINES", 2), \
+                _spy_on_reader() as spy:
+            with pytest.raises(ValueError) as err:
+                read_tensor_file(str(path))
+        assert str(err.value) == f"{path}: line 6: could not parse 'x' as a real number"
+        assert spy.refused == [False, True] and spy.tokens == ["3", "4", "x"]
 
 
 def test_count_is_exceeded_across_a_block_boundary(tmp_path):
@@ -500,15 +526,156 @@ def test_long_body_under_a_short_header_is_refused_in_little_memory(tmp_path):
     # first would hold all 2e6 rows (an 18 MiB peak).
     path = tmp_path / "long.t3"
     path.write_text("t3 2 2 2\n" + "1\n" * 2_000_000, encoding="utf-8")
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError) as err:
-            read_tensor_file(str(path))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert str(err.value) == f"{path}: line 10: more than 8 values"
-    assert peak < 2**20
+    for parallel in _BOTH_PATHS:
+        tracemalloc.start()
+        try:
+            with _reader_path(parallel), pytest.raises(ValueError) as err:
+                read_tensor_file(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == f"{path}: line 10: more than 8 values"
+        assert peak < 2**20, parallel
+
+
+_SPLIT_ODD_LINES = [b"# note", b"#", b"", b" \t", b"# \xff", b"1 \xff", b"x", b"1e400"]
+
+
+@st.composite
+def _two_path_files(draw):
+    """A t3 file's bytes: comment or blank lines before the header, ragged
+    rows holding one value short, exact or one over, comment, blank,
+    non-UTF-8 and bad lines anywhere, and each line ended by LF, CR LF or a
+    lone CR."""
+    n = draw(st.integers(2, 12))
+    count = draw(st.sampled_from([n - 1, n, n, n + 1]))
+    values = draw(st.lists(st.sampled_from(_EDGE_VALUES), min_size=count, max_size=count))
+    tokens = [f"{v:.17g}".encode() for v in values]
+    rows, i = [], 0
+    while i < count:
+        width = draw(st.integers(1, 3))
+        rows.append(b" ".join(tokens[i : i + width]))
+        i += width
+    for line in draw(st.lists(st.sampled_from(_SPLIT_ODD_LINES), max_size=4)):
+        rows.insert(draw(st.integers(0, len(rows))), line)
+    head = draw(st.lists(st.sampled_from([b"# head", b""]), max_size=2))
+    rows = [*head, b"t3 1 1 %d" % n, *rows]
+    ends = st.sampled_from([b"\n", b"\n", b"\r\n", b"\r"])
+    breaks = draw(st.lists(ends, min_size=len(rows), max_size=len(rows)))
+    return b"".join(row + end for row, end in zip(rows, breaks))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_two_path_files(), block=st.integers(1, 3))
+# Where the split falls, with one-line blocks unless a block is given: just
+# before a blank line; after a blank line; after a comment line, at the end
+# of a ragged row and of a value line; after a lone CR (block 2); under a
+# header that a lone CR ends; before a non-UTF-8 byte; under one value too
+# few, and with one too many.
+@example(text=b"t3 1 1 3\n1\n2\n\n3\n", block=1)
+@example(text=b"t3 1 1 3\n1\n\n2\n3\n", block=1)
+@example(text=b"t3 1 1 3\n1\n2\n# note\n3\n", block=1)
+@example(text=b"t3 1 1 3\n1 2\n# note\n3\n", block=1)
+@example(text=b"t3 1 1 9\n1\n2\n3\n4\r5\n6\r7\r8\n9\n", block=2)
+@example(text=b"# head\rt3 1 1 3\r1\n2\n3\n", block=1)
+@example(text=b"t3 1 1 4\n1 2\n3\n4 \xff\n", block=1)
+@example(text=b"t3 1 1 4\n1 2\n3\n", block=1)
+@example(text=b"t3 1 1 4\n1 2\n3\n4 5\n", block=1)
+@example(text=b"t3 1 1 4\n1 2\n3\n4\n5\n", block=2)
+def test_both_read_paths_give_the_same_bits_or_message(tmp_path_factory, text, block):
+    path = str(tmp_path_factory.mktemp("paths") / "f.t3")
+    with open(path, "wb") as fh:
+        fh.write(text)
+    outcomes = []
+    for parallel in _BOTH_PATHS:
+        with _reader_path(parallel), mock.patch.object(cli, "_BLOCK_LINES", block):
+            outcomes.append(_read_outcome(path))
+            with cli._open_text(path) as fh:
+                _, lineno = cli._read_header(path, fh)
+                split = cli._body_split(path, fh, lineno)
+                if split is not None:
+                    # The split ends a whole number of blocks, and the child's
+                    # handle reads on from it the lines this one would.
+                    lines, offset = split
+                    assert lines % block == 0
+                    assert len(list(itertools.islice(fh, lines))) == lines
+                    with cli._open_text(path, offset) as tail:
+                        assert list(tail) == list(fh)
+        assert split is None or parallel
+    assert outcomes[0] == outcomes[1]
+
+
+def _assert_no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+_needs_fork = pytest.mark.skipif(not cli._CAN_FORK, reason="needs os.fork and os.sched_getaffinity")
+
+
+@_needs_fork
+@pytest.mark.parametrize("bad_line", [None, 100, 300])
+def test_a_two_process_read_leaves_no_child(tmp_path, bad_line):
+    # 400 body lines split after the first 256-line block.
+    t = random_tensor(np.random.default_rng(132), (20, 20, 20))
+    path = tmp_path / "t.t3"
+    write_tensor_file(str(path), t)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    if bad_line is not None:  # a bad token in the parent's half, or the child's
+        lines[bad_line] = "x " + lines[bad_line]
+        path.write_text("".join(lines), encoding="utf-8")
+    with _reader_path(True), mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        outcome = _read_outcome(str(path))
+    assert fork.call_count == 1
+    _assert_no_child_is_left()
+    if bad_line is None:
+        assert outcome == ((20, 20, 20), t.data.tobytes())
+    else:
+        assert outcome == f"{path}: line {bad_line + 1}: could not parse 'x' as a real number"
+
+
+@_needs_fork
+@pytest.mark.parametrize("failure", ["raises", "dies", "short", "long"])
+def test_a_failed_child_falls_back_silently(tmp_path, capfd, failure):
+    t = random_tensor(np.random.default_rng(133), (20, 20, 20))
+    path = str(tmp_path / "t.t3")
+    write_tensor_file(path, t)
+    parent, real_loadtxt = os.getpid(), np.loadtxt
+
+    def loadtxt(*args, **kwargs):
+        rows = real_loadtxt(*args, **kwargs)
+        if os.getpid() == parent:
+            return rows
+        if failure == "raises":
+            raise RuntimeError("the child fails")
+        if failure == "dies":
+            os.kill(os.getpid(), signal.SIGKILL)
+        # The child's count comes out one short, or one over, per block.
+        return rows.ravel()[:-1] if failure == "short" else np.append(rows, 0.0)
+
+    with _reader_path(True), mock.patch.object(np, "loadtxt", loadtxt), \
+            mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        back = read_tensor_file(path)
+    assert fork.call_count == 1
+    assert back.data.tobytes() == t.data.tobytes()
+    assert capfd.readouterr() == ("", "")
+    _assert_no_child_is_left()
+
+
+@pytest.mark.skipif(
+    not (cli._CAN_FORK and len(os.sched_getaffinity(0)) >= 2),
+    reason="the two-process read needs os.fork and at least 2 usable CPUs",
+)
+def test_a_cli_text_sized_body_is_read_in_two_processes(tmp_path):
+    # The benchmark's cli_text file: 100^3 values at 17 digits, 22 MB.
+    t = random_tensor(np.random.default_rng(134), (100, 100, 100))
+    path = str(tmp_path / "t.t3")
+    write_tensor_file(path, t)
+    with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        back = read_tensor_file(path)
+    assert fork.call_count == 1
+    assert back.data.tobytes() == t.data.tobytes()
+    _assert_no_child_is_left()
 
 
 def test_matrix_file_round_trip(tmp_path):

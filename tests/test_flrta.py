@@ -326,6 +326,25 @@ def test_all_singular_search_warns_and_stays_exact(t):
     assert np.linalg.norm(rec.data - t.data) <= 1e-12 * hs_norm(t)
 
 
+def test_a_selection_warning_names_the_line_that_called_the_library():
+    t = DenseTensor3(np.zeros((4, 4, 4)))
+    opts = FlrtaOptions((2, 2, 2), trials=5)
+    with pytest.warns(RuntimeWarning, match="singular") as direct:
+        select_indices(t, (2, 2, 2), trials=5)
+    with pytest.warns(RuntimeWarning, match="singular") as solved:
+        flrta_solve(t, opts)
+    for record in (direct, solved):
+        assert len(record) == 1 and record[0].filename == __file__
+    # The default filter shows a warning once per location, so solves from
+    # two lines of a script show it twice.
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("default")
+        flrta_solve(t, opts)
+        flrta_solve(t, opts)
+    assert [w.filename for w in shown] == [__file__] * 2
+    assert shown[0].lineno + 1 == shown[1].lineno
+
+
 def test_select_indices_warns_on_bad_conditioning():
     data = np.zeros((2, 2, 2))
     data[:, :, 0] = np.diag([1.0, 1e-10])
